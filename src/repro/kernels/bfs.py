@@ -100,13 +100,16 @@ def batched_bfs(
     """
     max_dist = np.floor(max_dist)
     sources = np.asarray(list(sources), dtype=np.int64)
-    resolved = resolve_backend(backend)
-    if resolved == "reference":
+    requested = resolve_backend(backend)
+    if requested == "reference":
         return batched_bfs_reference(indptr, indices, n, sources, max_dist)
-    resolved = par.maybe_promote(resolved, sources.size * n)
+    resolved = par.maybe_promote(requested, sources.size * n)
     radii = np.full(sources.size, max_dist)
     if resolved == "parallel":
-        return par.bfs_waves_parallel(indptr, indices, n, sources, radii)
+        return par.bfs_waves_parallel(
+            indptr, indices, n, sources, radii,
+            announce=requested == "parallel",
+        )
     dist = np.full((sources.size, n), np.inf)
     if sources.size == 0 or n == 0:
         return dist
@@ -162,7 +165,8 @@ def sharded_bfs(
         # One live (n, shard) float block per shard (the yielded view is
         # the working array itself, so the whole budget buys shard rows).
         shard_size = max(1, _SHARD_FLOAT_BUDGET // max(n, 1))
-    resolved = par.maybe_promote(resolve_backend(backend), sources.size * n)
+    requested = resolve_backend(backend)
+    resolved = par.maybe_promote(requested, sources.size * n)
     for lo in range(0, sources.size, shard_size):
         hi = min(sources.size, lo + shard_size)
         if resolved == "reference":
@@ -173,7 +177,8 @@ def sharded_bfs(
                 )
         elif resolved == "parallel":
             block = par.bfs_waves_parallel(
-                indptr, indices, n, sources[lo:hi], radii[lo:hi]
+                indptr, indices, n, sources[lo:hi], radii[lo:hi],
+                announce=requested == "parallel",
             )
         else:
             work = np.full((n, hi - lo), np.inf)

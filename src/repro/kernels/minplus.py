@@ -160,7 +160,7 @@ def minplus(
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     _validate(s, t)
-    resolved = resolve_backend(backend)
+    requested = resolved = resolve_backend(backend)
     if resolved == "auto":
         if finite_fraction(s) > dense_threshold:
             # Dense operands keep the blocked-broadcast kernel: the
@@ -172,7 +172,7 @@ def minplus(
             if resolved == "auto":
                 resolved = "csr"
     if resolved == "parallel":
-        return par.minplus_parallel(s, t)
+        return par.minplus_parallel(s, t, announce=requested == "parallel")
     if resolved == "dense":
         return minplus_dense(s, t, block=block)
     if resolved == "csr":

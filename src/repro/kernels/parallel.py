@@ -16,9 +16,10 @@ APSP variant's wall clock:
   under ``prange``, the pool fallback re-runs the adaptive
   :func:`repro.kernels.bfs._batched_wave` on wave sub-shards.
 
-**Degradation chain** (announced once, via :class:`ParallelFallback`
-warnings, naming the fallback taken): numba -> ``multiprocessing`` fork
-pool -> in-process serial.  The serial tail exists so that
+**Degradation chain** (announced once to an explicit ``"parallel"``
+request, via a :class:`ParallelFallback` warning naming the fallback
+taken; an ``"auto"`` promotion stays quiet): numba -> fork pool ->
+in-process serial.  The serial tail exists so that
 ``backend="parallel"`` is *always* a valid request — on a host without
 numba, without ``fork`` (or with one CPU and no worker override) the
 kernels still run, on the vectorized single-process implementations.
@@ -30,36 +31,38 @@ single float64 addition the reference loop performs and reduces with
 bit-identical to the ``reference`` backend (enforced by
 ``tests/test_kernels.py`` / ``tests/test_parallel_backend.py``).
 
-**Pool mechanics.**  The fallback pool uses the ``fork`` start method
-and is *process-persistent*: the first call that engages it forks a
-worker pool once, and every later kernel call reuses the same workers —
-the fork cost (which grows with the parent's resident set) is paid once
-per process instead of once per kernel call.  Because the workers are
-forked before any particular call's operands exist, operands travel
-through POSIX shared memory: the parent copies each array into a
-``multiprocessing.shared_memory`` segment (one memcpy), workers attach
-by name and run the vectorized shard kernels on views — nothing large is
-pickled; only each worker's output block travels back.  The pool is torn
-down by :func:`shutdown_pool` (idempotent, also registered with
-``atexit``) and rebuilt automatically when the requested worker count
-changes; if shared memory or the pool is unavailable the call degrades
-to in-process serial shards with identical output.  Operands below
+**Pool mechanics.**  The fallback pool is a process-persistent
+:class:`~repro.kernels.forkpool.ForkPool` (the supervised primitive the
+sharded oracle also serves from) over slots ``range(worker_count())``:
+the first call that engages it forks the workers, and every later
+kernel call reuses them.  Operands travel through POSIX shared memory:
+the parent copies each array into a ``multiprocessing.shared_memory``
+segment, workers attach by name and run the vectorized shard kernels on
+views; only each worker's output block travels back, and the parent
+unlinks the segments on every exit path.  A dead or hung worker follows
+the primitive's ladder — rebuild once, then in-process serial shards
+until :func:`shutdown_pool` — and a changed worker count forks a fresh
+pool; every path gives identical output.  Operands below
 :data:`MIN_PARALLEL_CELLS` run in-process (the dispatch overhead would
 dominate); :data:`ENV_WORKERS_VAR` overrides the worker count.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
 import os
 import sys
 import threading
-import time
 import warnings
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from .forkpool import (
+    ENV_POOL_TIMEOUT_VAR,
+    ForkPool,
+    ParallelFallback,
+    fork_available,
+)
 
 __all__ = [
     "ENV_POOL_TIMEOUT_VAR",
@@ -67,13 +70,11 @@ __all__ = [
     "MIN_PARALLEL_CELLS",
     "ParallelFallback",
     "bfs_waves_parallel",
-    "fork_available",
     "minplus_parallel",
     "numba_available",
     "parallel_mode",
     "parallel_profitable",
     "pool_active",
-    "pool_timeout",
     "relax_parallel",
     "shard_edges",
     "shutdown_pool",
@@ -84,45 +85,10 @@ __all__ = [
 #: E18 benchmark records as the thread count of a run).
 ENV_WORKERS_VAR = "REPRO_KERNEL_WORKERS"
 
-#: Hung-worker budget override (seconds): a pool map whose workers make
-#: no progress for this long is declared hung and torn down.
-ENV_POOL_TIMEOUT_VAR = "REPRO_POOL_TIMEOUT"
-
-#: Default hung-worker budget — generous, because a legitimate shard on
-#: a loaded host can be slow; the supervisor's *liveness* check (dead
-#: workers) fires within a poll interval regardless.
-_DEFAULT_POOL_TIMEOUT = 120.0
-
-#: How often the pool supervisor wakes to check worker liveness.
-_SUPERVISE_POLL = 0.05
-
-
-def _pool_timeout() -> float:
-    """The hung-worker budget (``REPRO_POOL_TIMEOUT`` override)."""
-    value = os.environ.get(ENV_POOL_TIMEOUT_VAR)
-    if not value:
-        return _DEFAULT_POOL_TIMEOUT
-    try:
-        timeout = float(value)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_POOL_TIMEOUT_VAR}={value!r} is not a number of seconds"
-        )
-    if timeout <= 0:
-        raise ValueError(
-            f"{ENV_POOL_TIMEOUT_VAR} must be > 0, got {timeout!r}"
-        )
-    return timeout
-
 #: Output cells below which a "parallel" request runs in-process: at this
 #: size the fork/compile overhead dominates any speedup.  Tests lower it
 #: to force the pool on small fixtures.
 MIN_PARALLEL_CELLS = 1 << 16
-
-
-class ParallelFallback(UserWarning):
-    """Warned once per process when ``backend="parallel"`` degrades past
-    numba; the message names the rung actually taken."""
 
 
 _numba = None
@@ -167,23 +133,6 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def fork_available() -> bool:
-    """Whether the ``fork`` start method exists on this platform (the
-    sharded oracle and the shard pool both require it)."""
-    return _fork_available()
-
-
-def pool_timeout() -> float:
-    """The hung-worker budget in seconds (``REPRO_POOL_TIMEOUT``
-    override) — shared by the kernel shard pool and the sharded
-    oracle's worker supervision."""
-    return _pool_timeout()
-
-
 def shard_edges(total: int, shards: int) -> np.ndarray:
     """Contiguous partition of ``range(total)`` into at most ``shards``
     blocks, as the ``shards+1`` boundary array (``edges[i]:edges[i+1]``
@@ -213,7 +162,7 @@ def parallel_mode() -> str:
         workers = worker_count()
     except ValueError:
         return "serial"
-    if _fork_available() and workers > 1:
+    if fork_available() and workers > 1:
         return "multiprocessing"
     return "serial"
 
@@ -279,10 +228,8 @@ def _announce_fallback() -> None:
 
 _PAYLOAD: Optional[tuple] = None  # operands visible to the shard workers
 
-_POOL = None  # the persistent fork pool (created lazily)
-_POOL_WORKERS = 0
+_POOL: Optional[ForkPool] = None  # the persistent fork pool (created lazily)
 _POOL_LOCK = threading.Lock()  # guards pool creation/teardown
-_ATEXIT_REGISTERED = False
 
 
 def _shard_bounds(total: int, shards: int) -> Sequence[Tuple[int, int]]:
@@ -292,58 +239,28 @@ def _shard_bounds(total: int, shards: int) -> Sequence[Tuple[int, int]]:
 
 
 def pool_active() -> bool:
-    """Whether the persistent shard pool is currently alive."""
-    return _POOL is not None
+    """Whether the persistent shard pool's workers are running."""
+    return _POOL is not None and _POOL.active
 
 
 def shutdown_pool() -> None:
-    """Terminate the persistent shard pool (idempotent, thread-safe).
+    """Stop the persistent shard pool and reset its failure ladder
+    (idempotent, thread-safe).
 
-    Registered with ``atexit`` when the pool is first created, so a
-    process never exits with live workers; call it explicitly to release
-    the workers early (a server draining before reload, a test tearing
-    down a forced pool).  The next kernel call that needs the pool simply
-    forks a fresh one.  Do not tear the pool down (or change
+    The workers also stop at interpreter exit; call this to release
+    them early (a server draining before reload, a test tearing down a
+    forced pool) or to give a pool that degraded to serial shards a
+    fresh start.  The next kernel call that needs the pool simply forks
+    a fresh one.  Do not tear the pool down (or change
     ``REPRO_KERNEL_WORKERS``) while another thread's kernel call is in
     flight on it — like the backend knobs in :mod:`repro.kernels.config`,
     reconfiguration is a single-threaded setup operation.
     """
-    global _POOL, _POOL_WORKERS
+    global _POOL
     with _POOL_LOCK:
         if _POOL is not None:
-            _POOL.terminate()
-            _POOL.join()
+            _POOL.close()
             _POOL = None
-            _POOL_WORKERS = 0
-
-
-def _get_pool(workers: int):
-    """The persistent fork pool, (re)created to match ``workers``.
-    Creation/rebuild is serialized so concurrent first calls cannot each
-    fork a pool and orphan one of them."""
-    global _POOL, _POOL_WORKERS, _ATEXIT_REGISTERED
-    if _POOL is not None and _POOL_WORKERS != workers:
-        shutdown_pool()  # worker-count override changed: rebuild
-    with _POOL_LOCK:
-        if _POOL is None:
-            ctx = multiprocessing.get_context("fork")
-            _POOL = ctx.Pool(processes=workers)
-            _POOL_WORKERS = workers
-            if not _ATEXIT_REGISTERED:
-                atexit.register(shutdown_pool)
-                _ATEXIT_REGISTERED = True
-        return _POOL
-
-
-class _PoolUnavailable(Exception):
-    """Internal: the persistent pool / shared memory could not be used;
-    the caller falls back to in-process serial shards."""
-
-
-class _PoolBroken(Exception):
-    """Internal: a dispatched pool map lost a worker (killed, OOMed) or
-    made no progress inside the hung-worker budget.  The pool is torn
-    down; the caller rebuilds once, then degrades to serial shards."""
 
 
 def _fire_worker_fault() -> None:
@@ -385,17 +302,23 @@ def _publish_shared(payload):
                 slots.append(("shm", shm.name, arr.shape, arr.dtype.str))
             else:
                 slots.append(("val", item))
-    except Exception as exc:  # no /dev/shm, quota, …: degrade, don't fail
-        for shm in segments:
-            shm.close()
-            shm.unlink()
-        raise _PoolUnavailable(str(exc))
+    except BaseException:
+        _release_shared(segments)
+        raise
     return segments, slots
+
+
+def _release_shared(segments) -> None:
+    for shm in segments:
+        shm.close()
+        shm.unlink()
 
 
 def _attach_shared(slots):
     """Worker side of :func:`_publish_shared`: rebuild the payload tuple
-    from the slot descriptors (attaching segments by name)."""
+    from the slot descriptors (attaching segments by name).  Forked
+    workers share the parent's resource tracker, so attaching leaves
+    the parent's registration — and its unlink — untouched."""
     from multiprocessing import shared_memory
 
     payload, handles = [], []
@@ -403,16 +326,6 @@ def _attach_shared(slots):
         if slot[0] == "shm":
             _, name, shape, dtype = slot
             shm = shared_memory.SharedMemory(name=name)
-            try:
-                # Attaching registers the segment with the resource
-                # tracker as if this process owned it (bpo-39959); undo
-                # that so worker exits don't try to unlink the parent's
-                # segments (the parent unlinks them itself).
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
             handles.append(shm)
             payload.append(np.ndarray(shape, np.dtype(dtype), buffer=shm.buf))
         else:
@@ -420,7 +333,7 @@ def _attach_shared(slots):
     return tuple(payload), handles
 
 
-def _pool_entry(task):
+def _pool_entry(_slot, task):
     """Runs inside a pool worker: rebuild the payload from shared memory,
     run the named shard kernel, release the segments."""
     kind, bounds, slots = task
@@ -440,110 +353,57 @@ def _pool_entry(task):
                 pass             # handle, the parent unlink still frees it
 
 
+def _serial_shards(kind: str, payload, bounds):
+    global _PAYLOAD
+    _PAYLOAD = payload
+    try:
+        return [_SHARD_WORKERS[kind](b) for b in bounds]
+    finally:
+        _PAYLOAD = None
+
+
 def _map_shards(kind: str, payload, total_rows: int):
     """Run the ``kind`` shard worker over row shards of ``payload`` and
     return the per-shard results in row order.
 
     Multi-shard calls go to the persistent fork pool with operands
     published through shared memory; single-shard calls, hosts without
-    ``fork``, and shared-memory failures all run the same worker
-    functions in-process — identical results either way.  The serial
-    cutoff in each entry point keeps small calls from engaging the pool
-    at all."""
-    global _PAYLOAD
-    worker = _SHARD_WORKERS[kind]
-    bounds = _shard_bounds(total_rows, worker_count())
-    if len(bounds) > 1 and _fork_available():
-        try:
-            return _map_on_pool(kind, payload, bounds)
-        except _PoolUnavailable as exc:
-            warnings.warn(
-                f"backend='parallel': shard pool unavailable ({exc}); "
-                "degrading to in-process serial shards for this call",
-                ParallelFallback,
-                stacklevel=3,
-            )
-    _PAYLOAD = payload
+    ``fork``, shared-memory failures and a degraded pool all run the
+    same worker functions in-process — identical results either way.
+    The serial cutoff in each entry point keeps small calls from
+    engaging the pool at all."""
+    global _POOL
+    workers = worker_count()
+    bounds = _shard_bounds(total_rows, workers)
+    if len(bounds) < 2 or not fork_available():
+        return _serial_shards(kind, payload, bounds)
     try:
-        return [worker(b) for b in bounds]
-    finally:
-        _PAYLOAD = None
-
-
-def _supervised_map(pool, tasks, timeout: float):
-    """``pool.map`` with worker supervision: detect a worker that died
-    mid-task (``multiprocessing.Pool`` silently replaces it and the map
-    waits forever for the lost task) or a map that makes no progress for
-    ``timeout`` seconds; raise :class:`_PoolBroken` instead of hanging.
-
-    Death is detected by comparing the pool's worker pid-set against the
-    dispatch-time snapshot (the pool's maintenance thread swaps dead
-    workers for fresh pids) plus a plain liveness sweep.
-    """
-    initial = {p.pid for p in pool._pool}
-    result = pool.map_async(_pool_entry, tasks)
-    end = time.monotonic() + timeout
-    while True:
-        try:
-            return result.get(timeout=_SUPERVISE_POLL)
-        except multiprocessing.TimeoutError:
-            workers = list(pool._pool)
-            pids = {p.pid for p in workers}
-            if pids != initial or not all(p.is_alive() for p in workers):
-                raise _PoolBroken(
-                    "a shard worker died mid-task (killed or crashed)"
-                )
-            if time.monotonic() >= end:
-                raise _PoolBroken(
-                    f"shard workers made no progress for {timeout:g}s "
-                    f"(set {ENV_POOL_TIMEOUT_VAR} to adjust)"
-                )
-
-
-def _map_on_pool(kind: str, payload, bounds):
-    """Dispatch shard tasks onto the persistent pool, supervised.
-
-    A broken map (dead or hung worker) tears the pool down and retries
-    once on a freshly forked pool; a second failure degrades the call to
-    :class:`_PoolUnavailable` (the serial-shard rung).  Shared-memory
-    segments are closed and unlinked on every exit path — a killed
-    worker never leaks its operands' segments.
-    """
-    segments, slots = _publish_shared(payload)
-    tasks = [(kind, b, slots) for b in bounds]
-    timeout = _pool_timeout()
+        segments, slots = _publish_shared(payload)
+    except OSError as exc:  # no /dev/shm, quota, …: degrade, don't fail
+        warnings.warn(
+            f"backend='parallel': shared memory unavailable ({exc}); "
+            "degrading to in-process serial shards for this call",
+            ParallelFallback,
+            stacklevel=3,
+        )
+        return _serial_shards(kind, payload, bounds)
     try:
-        for attempt in (1, 2):
-            try:
-                pool = _get_pool(worker_count())
-            except Exception as exc:
-                raise _PoolUnavailable(str(exc))
-            try:
-                return _supervised_map(pool, tasks, timeout)
-            except _PoolBroken as exc:
-                # The pool lost state (a worker died holding a task):
-                # terminate it so the next attempt forks a clean one.
-                shutdown_pool()
-                if attempt > 1:
-                    raise _PoolUnavailable(str(exc))
-                warnings.warn(
-                    f"backend='parallel': {exc}; rebuilding the shard "
-                    "pool and retrying once",
-                    ParallelFallback,
-                    stacklevel=4,
+        with _POOL_LOCK:
+            if _POOL is not None and len(_POOL.slots) != workers:
+                _POOL.close()  # worker-count override changed: rebuild
+                _POOL = None
+            if _POOL is None:
+                _POOL = ForkPool(
+                    range(workers), _pool_entry, "kernel shard pool"
                 )
-            except _PoolUnavailable:
-                raise
-            except Exception:
-                # A broken pool must not poison later calls: tear it
-                # down so the next engagement forks a fresh one, then
-                # surface the error.
-                shutdown_pool()
-                raise
+            pool = _POOL
+        out = pool.run(
+            {i: (kind, b, slots) for i, b in enumerate(bounds)},
+            lambda _: dict(enumerate(_serial_shards(kind, payload, bounds))),
+        )
+        return [out[i] for i in range(len(bounds))]
     finally:
-        for shm in segments:
-            shm.close()
-            shm.unlink()
+        _release_shared(segments)
 
 
 def _minplus_shard(bounds: Tuple[int, int]) -> np.ndarray:
@@ -664,8 +524,13 @@ def _jit_kernels():
 # Backend entry points (what the dispatchers call)
 # ----------------------------------------------------------------------
 
-def minplus_parallel(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Parallel min-plus product, bit-identical to ``minplus_csr``."""
+def minplus_parallel(
+    s: np.ndarray, t: np.ndarray, *, announce: bool = True
+) -> np.ndarray:
+    """Parallel min-plus product, bit-identical to ``minplus_csr``.
+    ``announce=False`` (an ``"auto"`` promotion, which never asked for
+    ``"parallel"``) skips the numba fallback warning, on every entry
+    point."""
     from .csr import dense_to_csr
     from .minplus import minplus_csr
 
@@ -674,7 +539,8 @@ def minplus_parallel(s: np.ndarray, t: np.ndarray) -> np.ndarray:
         tp, tc, tv = dense_to_csr(t)
         minplus_jit, _, _ = _jit_kernels()
         return minplus_jit(sp, sc, sv, tp, tc, tv, s.shape[0], t.shape[1])
-    _announce_fallback()
+    if announce:
+        _announce_fallback()
     rows = s.shape[0]
     if rows * t.shape[1] < MIN_PARALLEL_CELLS or worker_count() == 1:
         return minplus_csr(s, t)
@@ -688,6 +554,8 @@ def relax_parallel(
     targets: np.ndarray,
     weights: np.ndarray,
     max_hops: int,
+    *,
+    announce: bool = True,
 ) -> np.ndarray:
     """Parallel hop-limited relaxation, bit-identical to the numpy
     kernel: source rows evolve independently under the per-hop Jacobi
@@ -707,7 +575,8 @@ def relax_parallel(
             np.asarray(weights, dtype=np.float64),
             max_hops,
         )
-    _announce_fallback()
+    if announce:
+        _announce_fallback()
     rows = dist.shape[0]
     if dist.size < MIN_PARALLEL_CELLS or worker_count() == 1 or rows < 2:
         return _relax_rounds(dist, origins, targets, weights, max_hops)
@@ -723,6 +592,8 @@ def bfs_waves_parallel(
     n: int,
     src: np.ndarray,
     radii: np.ndarray,
+    *,
+    announce: bool = True,
 ) -> np.ndarray:
     """Parallel truncated-BFS waves: the ``(src.size, n)`` level matrix,
     bit-identical to ``_batched_wave`` (BFS levels are scheme-independent
@@ -746,7 +617,8 @@ def bfs_waves_parallel(
             np.asarray(src, dtype=np.int64),
             radii,
         )
-    _announce_fallback()
+    if announce:
+        _announce_fallback()
     if src.size * n < MIN_PARALLEL_CELLS or worker_count() == 1:
         block = np.full((n, src.size), np.inf)
         _batched_wave(indptr, indices, n, src, radii, block)

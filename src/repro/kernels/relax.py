@@ -70,7 +70,11 @@ def hop_limited_relax(
     """
     if max_hops <= 0 or targets.size == 0 or dist.size == 0:
         return dist.copy()
-    resolved = par.maybe_promote(resolve_backend(backend), dist.size)
+    requested = resolve_backend(backend)
+    resolved = par.maybe_promote(requested, dist.size)
     if resolved == "parallel":
-        return par.relax_parallel(dist, origins, targets, weights, max_hops)
+        return par.relax_parallel(
+            dist, origins, targets, weights, max_hops,
+            announce=requested == "parallel",
+        )
     return _relax_rounds(dist, origins, targets, weights, max_hops)

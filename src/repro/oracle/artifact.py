@@ -486,15 +486,89 @@ def _reap_workdirs(path: str) -> None:
         shutil.rmtree(stale, ignore_errors=True)
 
 
+class _StagedWriter:
+    """The crash-safe writer behind both artifact layouts, used as a
+    context manager (an exception inside the block removes the staging).
+
+    Files land, fsynced, in a ``<path>.tmp-<pid>`` sibling (stale
+    siblings are reaped first); :meth:`finish` writes the manifest last,
+    fsyncs every directory it created and the staging itself, then
+    promotes the staging atomically.  The ``artifact.save`` fault stages
+    fire in the same order on every layout: ``begin``; ``estimates``
+    once the mmap-able ``.npy`` payload is staged (at the first
+    :meth:`save_npz`, or in :meth:`finish`); ``arrays``; ``manifest``;
+    then ``rename`` and ``swap`` in :func:`_commit_staged`.  ``rel``
+    paths are ``name`` or ``dir/name``."""
+
+    def __init__(self, path: str):
+        self.final = os.path.abspath(path)
+        _reap_workdirs(self.final)
+        self.tmp = f"{self.final}.tmp-{os.getpid()}"
+        os.makedirs(self.tmp)
+        self._dirs = [self.tmp]
+        self._payload_staged = False
+
+    def __enter__(self) -> "_StagedWriter":
+        try:
+            FAULTS.fire("artifact.save", stage="begin")
+        except BaseException:
+            self.__exit__(True, None, None)
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def _file(self, rel: str) -> str:
+        full = os.path.join(self.tmp, rel)
+        parent = os.path.dirname(full)
+        if parent not in self._dirs:
+            os.makedirs(parent, exist_ok=True)
+            self._dirs.append(parent)
+        return full
+
+    def _end_payload(self) -> None:
+        if not self._payload_staged:
+            self._payload_staged = True
+            FAULTS.fire("artifact.save", stage="estimates")
+
+    def save_array(self, rel: str, arr: np.ndarray) -> None:
+        """One uncompressed, mmap-able ``.npy`` under the staging."""
+        with open(self._file(rel), "wb") as fh:
+            np.save(fh, np.ascontiguousarray(arr))
+            _fsync_fh(fh)
+
+    def save_npz(self, rel: str, arrays: Dict[str, np.ndarray]) -> None:
+        self._end_payload()
+        with open(self._file(rel), "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+            _fsync_fh(fh)
+
+    def finish(self, manifest: Dict[str, object]) -> None:
+        self._end_payload()
+        FAULTS.fire("artifact.save", stage="arrays")
+        # The manifest is written last: a staged directory is complete
+        # exactly when its manifest exists.
+        with open(os.path.join(self.tmp, MANIFEST_NAME), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            _fsync_fh(fh)
+        FAULTS.fire("artifact.save", stage="manifest")
+        for directory in reversed(self._dirs):
+            _fsync_dir(directory)
+        _commit_staged(self.tmp, self.final)
+
+
 def save_artifact(artifact: OracleArtifact, path: str) -> None:
     """Write an artifact directory crash-safely in the current format.
 
     The payload (``manifest.json`` + ``arrays.npz``, with matrix/sources
     estimates split out to an uncompressed, mmap-able ``estimates.npy``)
-    is staged in a ``<path>.tmp-<pid>`` sibling directory, every file is
-    fsynced, and the staged directory is atomically renamed into place —
-    an interrupt at *any* point leaves either the previous artifact or
-    no artifact, never a half-written directory that ``load_artifact``
+    is staged by :class:`_StagedWriter` — every file and directory
+    fsynced, the staged directory atomically renamed into place — so an
+    interrupt at *any* point leaves either the previous artifact or no
+    artifact, never a half-written directory that ``load_artifact``
     accepts.  Leftover tmp directories from interrupted saves are reaped
     on the next save to the same path.  The written manifest is
     normalized to :data:`FORMAT_VERSION` and gains per-array SHA-256
@@ -502,9 +576,6 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
     :meth:`OracleArtifact.verify` check); the in-memory ``artifact`` is
     not mutated.
     """
-    path = os.path.abspath(path)
-    _reap_workdirs(path)
-    tmp = f"{path}.tmp-{os.getpid()}"
     manifest = dict(artifact.manifest)
     manifest["format_version"] = FORMAT_VERSION
     arrays = dict(artifact.arrays)
@@ -515,38 +586,16 @@ def save_artifact(artifact: OracleArtifact, path: str) -> None:
     if estimates is not None:
         checksums[_MMAP_KEY] = _array_digest(estimates)
     manifest["checksums"] = checksums
-    os.makedirs(tmp)
-    try:
-        FAULTS.fire("artifact.save", stage="begin")
+    with _StagedWriter(path) as writer:
         if estimates is not None:
-            with open(os.path.join(tmp, ESTIMATES_NAME), "wb") as fh:
-                np.save(fh, estimates)
-                _fsync_fh(fh)
-        FAULTS.fire("artifact.save", stage="estimates")
-        with open(os.path.join(tmp, ARRAYS_NAME), "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            _fsync_fh(fh)
-        FAULTS.fire("artifact.save", stage="arrays")
-        # The manifest is written last: a staged directory is complete
-        # exactly when its manifest exists.
-        with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            _fsync_fh(fh)
-        FAULTS.fire("artifact.save", stage="manifest")
-        _fsync_dir(tmp)
-    except BaseException:
-        # An in-process failure cleans its staging up; a hard crash
-        # leaves the tmp dir for the next save's reap.  Either way the
-        # final path was never touched.
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    _commit_staged(tmp, path)
+            writer.save_array(ESTIMATES_NAME, estimates)
+        writer.save_npz(ARRAYS_NAME, arrays)
+        writer.finish(manifest)
 
 
 def _commit_staged(tmp: str, path: str) -> None:
     """Atomically promote a fully-written staging directory to ``path``
-    (shared by :func:`save_artifact` and the sharded writer)."""
+    (the last step of :meth:`_StagedWriter.finish`)."""
     FAULTS.fire("artifact.save", stage="rename")
     if os.path.isdir(path):
         # Swap: move the old artifact aside, rename the staged one in,

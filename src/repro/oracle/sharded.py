@@ -34,9 +34,9 @@ streaming over the shard files — so a merged load verifies with the
 ordinary :meth:`~repro.oracle.artifact.OracleArtifact.verify`, and a
 sharded save of an artifact round-trips bit-identically through
 :func:`~repro.oracle.artifact.load_artifact` (which detects the layout
-and merges transparently).  Writes stage in a ``<path>.tmp-<pid>``
-sibling and commit with the same atomic swap as ``save_artifact``,
-firing the same ``artifact.save`` fault-point stages.
+and merges transparently).  Writes go through ``save_artifact``'s
+staged writer (:class:`~repro.oracle.artifact._StagedWriter`): same
+fsyncs, same atomic swap, same ``artifact.save`` fault-point stages.
 
 **Streaming build** — ``build_sharded_oracle(g, path, shards)`` for the
 ``tz`` variant consumes
@@ -47,11 +47,12 @@ soon as its vertex range is complete: peak resident arc memory is
 (the manifest records ``stats.peak_resident_arcs``).  Other variants
 build in memory and re-partition.
 
-**ShardedOracle** — routes batched queries by vertex id to a persistent
-pool of forked worker processes, one per shard, each mmap-loading only
-its shard's files (the parent never loads shard payloads while the pool
-is healthy).  Same-shard pairs are answered by the owner's local
-combine; a cross-shard bunch pair runs a two-sided exchange:
+**ShardedOracle** — routes batched queries by vertex id to a
+:class:`~repro.kernels.forkpool.ForkPool` with one forked worker per
+shard, each mmap-loading only its shard's files (the parent never loads
+shard payloads while the pool is healthy).  Same-shard pairs are
+answered by the owner's local combine; a cross-shard bunch pair runs a
+two-sided exchange:
 
 1. the ``v``-owning shard returns the ``B(v)`` slab (``stars``),
 2. the ``u``-owning shard runs the dense-scatter combine with its local
@@ -65,15 +66,16 @@ to the unsharded oracle, pool or no pool.  Dispatch is pipelined
 (send to every shard, then collect), so a coalesced flush fans its
 sub-batches to all shards concurrently.
 
-**Failure semantics** (DESIGN.md §10, consistent with §7): a worker
-that dies or stops making progress within the
-``REPRO_POOL_TIMEOUT`` budget tears the pool down; the batch is retried
-on a rebuilt pool **once** (a :class:`ParallelFallback` warning), and a
-second failure degrades permanently to in-process serial backends over
-the same mmap'd shard files — same routing code, same kernel, still
-bit-identical, just slower.  ``repro_shard_up`` drops to 0 on degrade.
-The ``sharded.worker`` fault point fires inside each worker per
-received request, which is how the chaos suite kills one mid-burst.
+**Failure semantics** (DESIGN.md §10) are the pool primitive's
+ladder: a dead worker, or none making progress within the
+``REPRO_POOL_TIMEOUT`` budget, rebuilds the pool **once** and retries
+the round (a :class:`~repro.kernels.forkpool.ParallelFallback`
+warning); a second failure degrades the oracle for good to in-process
+serial backends over the same mmap'd shard files — same routing, same
+kernel, still bit-identical, just slower.  ``/info`` and
+``repro_shard_up`` read the pool's state.  The ``sharded.worker`` fault
+point fires inside each worker per request, which is how the chaos
+suite kills one mid-burst.
 """
 
 from __future__ import annotations
@@ -81,23 +83,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import threading
 import time
-import warnings
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
-
-import multiprocessing
+import weakref
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .. import variants as variants_registry
-from ..kernels.parallel import (
-    ParallelFallback,
-    fork_available,
-    pool_timeout,
-    shard_edges,
-)
+from ..kernels.forkpool import ForkPool, fork_available
+from ..kernels.parallel import shard_edges
 from ..telemetry import instruments as _instr
 from ..telemetry import metrics as _metrics
 from ..variants import UnknownVariantError
@@ -109,14 +104,11 @@ from .artifact import (
     ArtifactError,
     ArtifactMismatch,
     OracleArtifact,
+    _StagedWriter,
     _array_digest,
-    _commit_staged,
     _embed_graph,
-    _fsync_fh,
-    _jsonable,
     _manifest_base,
     _manifest_finish,
-    _reap_workdirs,
     _validate_manifest,
     build_oracle,
     graph_fingerprint,
@@ -151,8 +143,12 @@ SHARED_DIR = "shared"
 #: answer a query, so no vertex range owns it).
 _SHARDABLE_KINDS = ("bunches", "matrix", "edges")
 
-#: Worker liveness poll while waiting on a shard reply.
-_POLL = 0.05
+#: Logical arrays each kind stores per shard rather than in ``shared/``.
+_SHARDED_KEYS = {
+    "bunches": ("bunch_srcs", "bunch_dsts", "bunch_ds"),
+    "matrix": ("estimates",),
+    "edges": (),
+}
 
 #: Streamed-digest chunk size (bytes hashed per read).
 _DIGEST_CHUNK = 1 << 24
@@ -160,12 +156,6 @@ _DIGEST_CHUNK = 1 << 24
 
 def _shard_dir(index: int) -> str:
     return f"shard-{index:04d}"
-
-
-def _shard_bounds(n: int, shards: int) -> np.ndarray:
-    """The canonical vertex split (``shard_edges``); ``len - 1`` is the
-    *effective* shard count (clamped to ``n``)."""
-    return shard_edges(n, int(shards))
 
 
 def shard_of(bounds: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -191,55 +181,58 @@ def is_sharded_artifact(path: str) -> bool:
 # Writing
 # ----------------------------------------------------------------------
 
-class _StagedWriter:
-    """Crash-safe sharded-artifact writer: every file lands in a
-    ``<path>.tmp-<pid>`` sibling, the manifest is written last, and
-    ``finish`` promotes the staging atomically (same swap + fault-point
-    stages as ``save_artifact``)."""
+def _shard_map(bounds: np.ndarray) -> Dict[str, object]:
+    return {
+        "layout_version": SHARD_LAYOUT_VERSION,
+        "shards": int(bounds.size - 1),
+        "bounds": [int(b) for b in bounds],
+    }
 
-    def __init__(self, path: str):
-        self.final = os.path.abspath(path)
-        _reap_workdirs(self.final)
-        self.tmp = f"{self.final}.tmp-{os.getpid()}"
-        os.makedirs(self.tmp)
-        FAULTS.fire("artifact.save", stage="begin")
 
-    def _ensure_parent(self, rel: str) -> str:
-        full = os.path.join(self.tmp, rel)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        return full
+def _shard_parts(
+    kind: str, n: int, arrays: Dict[str, np.ndarray], bounds: np.ndarray
+) -> List[Dict[str, np.ndarray]]:
+    """A plain artifact's payload split by vertex range into the arrays
+    each shard stores (``shard-XXXX/<name>.npy``): bunches as the
+    canonical CSR (``_directed_csr`` is a stable sort, so every
+    builder's output passes through unchanged) clamped to the range,
+    matrix estimates as row ranges, nothing for ``edges``."""
+    ranges = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    if kind == "bunches":
+        indptr, cols, ds = _directed_csr(
+            n, arrays["bunch_srcs"], arrays["bunch_dsts"], arrays["bunch_ds"]
+        )
+        parts = []
+        for lo, hi in ranges:
+            a, b = int(indptr[lo]), int(indptr[hi])
+            parts.append({
+                "indptr": np.clip(indptr, a, b) - a,
+                "cols": cols[a:b],
+                "ds": ds[a:b],
+            })
+        return parts
+    if kind == "matrix":
+        est = np.asarray(arrays["estimates"], dtype=np.float64)
+        if est.shape != (n, n):
+            raise ArtifactError(
+                f"matrix artifact has estimates of shape {est.shape}, "
+                f"expected {(n, n)}"
+            )
+        return [{"estimates": est[lo:hi]} for lo, hi in ranges]
+    return [{} for _ in ranges]
 
-    def save_array(self, rel: str, arr: np.ndarray) -> None:
-        """One uncompressed, mmap-able ``.npy`` under the staging."""
-        with open(self._ensure_parent(rel), "wb") as fh:
-            np.save(fh, np.ascontiguousarray(arr))
-            _fsync_fh(fh)
 
-    def save_npz(self, rel: str, arrays: Dict[str, np.ndarray]) -> None:
-        with open(self._ensure_parent(rel), "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            _fsync_fh(fh)
-
-    def staged(self, rel: str) -> str:
-        """Path of an already-staged file (the digest pass re-reads
-        shard files from the staging before the manifest is written)."""
-        return os.path.join(self.tmp, rel)
-
-    def finish(self, manifest: Dict[str, object]) -> None:
-        try:
-            FAULTS.fire("artifact.save", stage="arrays")
-            with open(os.path.join(self.tmp, MANIFEST_NAME), "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-                _fsync_fh(fh)
-            FAULTS.fire("artifact.save", stage="manifest")
-        except BaseException:
-            self.abort()
-            raise
-        _commit_staged(self.tmp, self.final)
-
-    def abort(self) -> None:
-        shutil.rmtree(self.tmp, ignore_errors=True)
+def _edge_arrays(arrays: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """An ``edges`` artifact's arcs in both directions (what each
+    shard's SSSP relaxes)."""
+    eu = np.asarray(arrays["emu_us"], dtype=np.int64)
+    ev = np.asarray(arrays["emu_vs"], dtype=np.int64)
+    ew = np.asarray(arrays["emu_ws"], dtype=np.float64)
+    return {
+        "origins": np.concatenate([eu, ev]),
+        "targets": np.concatenate([ev, eu]),
+        "weights": np.concatenate([ew, ew]),
+    }
 
 
 def _local_bunch_csr(
@@ -273,9 +266,7 @@ def _streamed_digest(dtype: np.dtype, shape: Tuple[int, ...], chunks) -> str:
     return h.hexdigest()
 
 
-def _bunch_shard_checksums(
-    n: int, bounds: np.ndarray, shard_files
-) -> Dict[str, str]:
+def _bunch_shard_checksums(bounds: np.ndarray, shard_files) -> Dict[str, str]:
     """Canonical ``bunch_*`` digests computed shard-at-a-time.
 
     ``shard_files(i)`` returns ``(indptr, cols, ds)`` arrays (typically
@@ -285,9 +276,6 @@ def _bunch_shard_checksums(
     arrays exactly."""
     shards = bounds.size - 1
     total = 0
-    srcs_chunks: List[np.ndarray] = []
-    cols_chunks: List[np.ndarray] = []
-    ds_chunks: List[np.ndarray] = []
 
     def _chunks(kind: str) -> Iterator[np.ndarray]:
         for i in range(shards):
@@ -336,72 +324,38 @@ def save_sharded_artifact(
             f"{list(_SHARDABLE_KINDS)}"
         )
     n = artifact.n
-    bounds = _shard_bounds(n, shards)
-    eff = bounds.size - 1
+    bounds = shard_edges(n, shards)
+    parts = _shard_parts(kind, n, artifact.arrays, bounds)
+    # Everything not stored per shard (edges arrays, tz_levels, graph
+    # embedding, ...) is shared: every reader loads it whole.
+    shared = {
+        k: np.asarray(v) for k, v in artifact.arrays.items()
+        if k not in _SHARDED_KEYS[kind]
+    }
+    if kind == "bunches":
+        checksums = _bunch_shard_checksums(
+            bounds, lambda i: tuple(parts[i].values())
+        )
+    elif kind == "matrix":
+        checksums = {"estimates": _streamed_digest(
+            np.float64, (n, n), (p["estimates"] for p in parts)
+        )}
+    else:
+        checksums = {}
+    checksums.update({k: _array_digest(v) for k, v in shared.items()})
     manifest = dict(artifact.manifest)
     manifest["format_version"] = FORMAT_VERSION
-    arrays = dict(artifact.arrays)
-    checksums: Dict[str, str] = {}
-
-    writer = _StagedWriter(path)
-    try:
-        if kind == "bunches":
-            indptr, cols, ds = _directed_csr(
-                n,
-                arrays.pop("bunch_srcs"),
-                arrays.pop("bunch_dsts"),
-                arrays.pop("bunch_ds"),
-            )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                a, b = int(indptr[lo]), int(indptr[hi])
-                local = np.clip(indptr, a, b) - a
-                d = _shard_dir(i)
-                writer.save_array(os.path.join(d, "indptr.npy"), local)
-                writer.save_array(os.path.join(d, "cols.npy"), cols[a:b])
-                writer.save_array(os.path.join(d, "ds.npy"), ds[a:b])
-            checksums.update({
-                "bunch_srcs": _array_digest(
-                    np.repeat(
-                        np.arange(n, dtype=np.int64), np.diff(indptr)
-                    )
-                ),
-                "bunch_dsts": _array_digest(np.asarray(cols, np.int64)),
-                "bunch_ds": _array_digest(np.asarray(ds, np.float64)),
-            })
-        elif kind == "matrix":
-            est = np.asarray(arrays.pop("estimates"), dtype=np.float64)
-            if est.shape != (n, n):
-                raise ArtifactError(
-                    f"matrix artifact has estimates of shape {est.shape}, "
-                    f"expected {(n, n)}"
-                )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
+    manifest["checksums"] = checksums
+    manifest[SHARD_MAP_KEY] = _shard_map(bounds)
+    with _StagedWriter(path) as writer:
+        for i, part in enumerate(parts):
+            for name, arr in part.items():
                 writer.save_array(
-                    os.path.join(_shard_dir(i), "estimates.npy"),
-                    est[lo:hi],
+                    os.path.join(_shard_dir(i), f"{name}.npy"), arr
                 )
-            checksums["estimates"] = _array_digest(est)
-
-        # Everything left (edges arrays, tz_levels, graph embedding, a
-        # sources array, ...) is shared: every reader loads it whole.
-        shared = {k: np.asarray(v) for k, v in arrays.items()}
         if shared:
             writer.save_npz(os.path.join(SHARED_DIR, ARRAYS_NAME), shared)
-        checksums.update(
-            {k: _array_digest(v) for k, v in shared.items()}
-        )
-        manifest["checksums"] = checksums
-        manifest[SHARD_MAP_KEY] = {
-            "layout_version": SHARD_LAYOUT_VERSION,
-            "shards": int(eff),
-            "bounds": [int(b) for b in bounds],
-        }
         writer.finish(manifest)
-    except BaseException:
-        writer.abort()
-        raise
     return manifest
 
 
@@ -463,10 +417,9 @@ def build_sharded_oracle(
     k = hierarchy.r + 1
 
     n = int(g.n)
-    bounds = _shard_bounds(n, shards)
+    bounds = shard_edges(n, shards)
     eff = bounds.size - 1
-    writer = _StagedWriter(path)
-    try:
+    with _StagedWriter(path) as writer:
         cur = 0  # shard currently accumulating
         buf_s: List[np.ndarray] = []
         buf_d: List[np.ndarray] = []
@@ -548,13 +501,13 @@ def build_sharded_oracle(
             d = _shard_dir(i)
             return tuple(
                 np.load(
-                    writer.staged(os.path.join(d, f"{name}.npy")),
+                    os.path.join(writer.tmp, d, f"{name}.npy"),
                     mmap_mode="r", allow_pickle=False,
                 )
                 for name in ("indptr", "cols", "ds")
             )
 
-        checksums = _bunch_shard_checksums(n, bounds, _staged_shard)
+        checksums = _bunch_shard_checksums(bounds, _staged_shard)
         checksums.update(
             {name: _array_digest(a) for name, a in shared.items()}
         )
@@ -576,15 +529,8 @@ def build_sharded_oracle(
             },
         )
         manifest["checksums"] = checksums
-        manifest[SHARD_MAP_KEY] = {
-            "layout_version": SHARD_LAYOUT_VERSION,
-            "shards": int(eff),
-            "bounds": [int(b) for b in bounds],
-        }
+        manifest[SHARD_MAP_KEY] = _shard_map(bounds)
         writer.finish(manifest)
-    except BaseException:
-        writer.abort()
-        raise
     return manifest
 
 
@@ -808,15 +754,7 @@ class ShardBackend:
                 "path to load them from"
             )
         if self.kind == "edges":
-            shared = _load_shared_arrays(self._path)
-            eu = np.asarray(shared["emu_us"], dtype=np.int64)
-            ev = np.asarray(shared["emu_vs"], dtype=np.int64)
-            ew = np.asarray(shared["emu_ws"], dtype=np.float64)
-            self._attach({
-                "origins": np.concatenate([eu, ev]),
-                "targets": np.concatenate([ev, eu]),
-                "weights": np.concatenate([ew, ew]),
-            })
+            self._attach(_edge_arrays(_load_shared_arrays(self._path)))
             return
         self._attach(_load_shard_files(self._path, self.kind, self.index))
 
@@ -920,122 +858,11 @@ class ShardBackend:
         return out
 
 
-def _worker_main(conn, backend: ShardBackend) -> None:
-    """The forked shard worker's loop: receive a list of ops, fire the
-    chaos point, answer.  A clean per-request error is replied (the
-    worker stays up); death or a hang is the parent supervisor's
-    problem."""
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg == "stop":
-            break
-        try:
-            FAULTS.fire("sharded.worker")
-            out = [backend.handle(op) for op in msg]
-        except BaseException as exc:
-            try:
-                conn.send(("error", exc))
-            except Exception:
-                break
-            continue
-        try:
-            conn.send(("ok", out))
-        except (BrokenPipeError, OSError):
-            break
-    try:
-        conn.close()
-    except Exception:
-        pass
-
-
-class _PoolBroken(Exception):
-    """Internal: a shard worker died, hung, or its pipe tore — the
-    supervision ladder handles it (never escapes ShardedOracle)."""
-
-
-class _ShardPool:
-    """A persistent pool of forked workers, one per shard, each bound to
-    its own :class:`ShardBackend` over a dedicated pipe."""
-
-    def __init__(self, backends: Sequence[ShardBackend]):
-        ctx = multiprocessing.get_context("fork")
-        self._procs = []
-        self._conns = []
-        for backend in backends:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main, args=(child, backend), daemon=True
-            )
-            proc.start()
-            child.close()
-            self._procs.append(proc)
-            self._conns.append(parent)
-
-    def roundtrip(
-        self, requests: Dict[int, List[Tuple]]
-    ) -> Dict[int, List]:
-        """Pipelined dispatch: send to every requested shard, then
-        collect — shards compute concurrently.  Worker death, a torn
-        pipe, or no progress within the ``REPRO_POOL_TIMEOUT`` budget
-        raises :class:`_PoolBroken`; a clean ``("error", exc)`` reply is
-        re-raised after all replies are drained (the pool stays
-        consistent)."""
-        try:
-            for s, ops in requests.items():
-                self._conns[s].send(ops)
-        except (BrokenPipeError, OSError) as exc:
-            raise _PoolBroken(f"shard pipe send failed: {exc}")
-        deadline = time.monotonic() + pool_timeout()
-        results: Dict[int, List] = {}
-        error: Optional[BaseException] = None
-        for s in requests:
-            conn, proc = self._conns[s], self._procs[s]
-            while not conn.poll(_POLL):
-                if not proc.is_alive():
-                    raise _PoolBroken(
-                        f"shard {s} worker died "
-                        f"(exit code {proc.exitcode})"
-                    )
-                if time.monotonic() >= deadline:
-                    raise _PoolBroken(
-                        f"shard {s} worker made no progress within "
-                        f"{pool_timeout()}s (REPRO_POOL_TIMEOUT)"
-                    )
-            try:
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise _PoolBroken(f"shard {s} reply pipe tore: {exc}")
-            if status == "error":
-                if error is None:
-                    error = payload
-            else:
-                results[s] = payload
-        if error is not None:
-            raise error
-        return results
-
-    def alive(self) -> bool:
-        return all(p.is_alive() for p in self._procs)
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send("stop")
-            except Exception:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=1.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:
-                pass
+def _serve_shard(backend: ShardBackend, ops: List[Tuple]) -> List:
+    """The shard pool's worker handler: fire the chaos point, answer
+    one routed request list."""
+    FAULTS.fire("sharded.worker")
+    return [backend.handle(op) for op in ops]
 
 
 # ----------------------------------------------------------------------
@@ -1067,7 +894,7 @@ class ShardedOracle(DistanceOracle):
                 f"artifact kind {self.kind!r} cannot be sharded; "
                 f"supported kinds: {list(_SHARDABLE_KINDS)}"
             )
-        bounds = _shard_bounds(self.n, shards)
+        bounds = shard_edges(self.n, shards)
         backends = self._partition(artifact, bounds)
         self._sharded_dir: Optional[str] = None
         self._merged: Optional[OracleArtifact] = artifact
@@ -1110,56 +937,17 @@ class ShardedOracle(DistanceOracle):
     def _partition(
         self, artifact: OracleArtifact, bounds: np.ndarray
     ) -> List[ShardBackend]:
-        eff = bounds.size - 1
-        backends: List[ShardBackend] = []
-        if self.kind == "bunches":
-            indptr, cols, ds = _directed_csr(
-                self.n,
-                artifact.arrays["bunch_srcs"],
-                artifact.arrays["bunch_dsts"],
-                artifact.arrays["bunch_ds"],
+        if self.kind == "edges":  # shared arrays, routing only
+            parts = [_edge_arrays(artifact.arrays)] * (bounds.size - 1)
+        else:
+            parts = _shard_parts(self.kind, self.n, artifact.arrays, bounds)
+        return [
+            ShardBackend(
+                self.n, self.kind, int(bounds[i]), int(bounds[i + 1]), i,
+                arrays=part, backend=self._backend,
             )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                a, b = int(indptr[lo]), int(indptr[hi])
-                backends.append(ShardBackend(
-                    self.n, self.kind, lo, hi, i,
-                    arrays={
-                        "indptr": np.clip(indptr, a, b) - a,
-                        "cols": cols[a:b],
-                        "ds": ds[a:b],
-                    },
-                ))
-        elif self.kind == "matrix":
-            est = np.asarray(
-                artifact.arrays["estimates"], dtype=np.float64
-            )
-            if est.shape != (self.n, self.n):
-                raise ArtifactError(
-                    f"matrix artifact has estimates of shape "
-                    f"{est.shape}, expected {(self.n, self.n)}"
-                )
-            for i in range(eff):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                backends.append(ShardBackend(
-                    self.n, self.kind, lo, hi, i,
-                    arrays={"estimates": est[lo:hi]},
-                ))
-        else:  # edges: shared arrays, routing only
-            eu = np.asarray(artifact.arrays["emu_us"], dtype=np.int64)
-            ev = np.asarray(artifact.arrays["emu_vs"], dtype=np.int64)
-            ew = np.asarray(artifact.arrays["emu_ws"], dtype=np.float64)
-            shared = {
-                "origins": np.concatenate([eu, ev]),
-                "targets": np.concatenate([ev, eu]),
-                "weights": np.concatenate([ew, ew]),
-            }
-            for i in range(eff):
-                backends.append(ShardBackend(
-                    self.n, self.kind, int(bounds[i]), int(bounds[i + 1]),
-                    i, arrays=shared, backend=self._backend,
-                ))
-        return backends
+            for i, part in enumerate(parts)
+        ]
 
     def _finish_init(
         self,
@@ -1172,11 +960,7 @@ class ShardedOracle(DistanceOracle):
         self.shards = bounds.size - 1
         self._mount = "default"
         self._route_lock = threading.Lock()
-        self._pool: Optional[_ShardPool] = None
-        self._pool_finalizer = None
-        self._rebuilds_left = 1
-        self._rebuilds = 0
-        self._degraded = False
+        self._pool: Optional[ForkPool] = None
         self._closed = False
         self._shard_query_counts = np.zeros(self.shards, dtype=np.int64)
         self._metric_children: Dict = {}
@@ -1189,10 +973,15 @@ class ShardedOracle(DistanceOracle):
                 "sharded pool serving needs the 'fork' start method; "
                 "pass pool=False for in-process serial sharding"
             )
+        # Serial because fork is missing, not because the caller said so.
+        self._fork_missing = (
+            not want_pool and self.shards > 1 and pool is None
+        )
         if want_pool:
-            self._start_pool()
-        else:
-            self._degraded = self.shards > 1 and pool is not False
+            self._pool = ForkPool(
+                backends, _serve_shard, "sharded oracle pool"
+            )
+            self._pool.start()
         self._sync_up_gauge()
 
     @classmethod
@@ -1268,64 +1057,20 @@ class ShardedOracle(DistanceOracle):
         )
 
     # -- lifecycle -----------------------------------------------------
-    def _start_pool(self) -> None:
-        import weakref
-
-        pool = _ShardPool(self._backends)
-        self._pool = pool
-        # Finalize the *pool*, not the oracle: workers die with the
-        # parent even when close() is never called.
-        self._pool_finalizer = weakref.finalize(self, pool.close)
-
-    def _drop_pool(self) -> None:
-        if self._pool_finalizer is not None:
-            self._pool_finalizer.detach()
-            self._pool_finalizer = None
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
     def close(self) -> None:
         """Stop the worker pool (idempotent; serial serving keeps
         working afterwards — the backends stay loaded)."""
         with self._route_lock:
-            self._drop_pool()
             self._closed = True
-            self._sync_up_gauge()
+            if self._pool is not None:
+                self._pool.close()
 
     # -- routing -------------------------------------------------------
     def _answer_batch(
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool = True
     ) -> Tuple[np.ndarray, np.ndarray]:
         with self._route_lock:
-            while True:
-                try:
-                    return self._route(us, vs, want_witness)
-                except _PoolBroken as exc:
-                    self._handle_pool_failure(exc)
-
-    def _handle_pool_failure(self, exc: _PoolBroken) -> None:
-        self._drop_pool()
-        if self._rebuilds_left > 0:
-            self._rebuilds_left -= 1
-            self._rebuilds += 1
-            warnings.warn(
-                f"sharded oracle pool failed ({exc}); rebuilding the "
-                "worker pool once and retrying the batch",
-                ParallelFallback,
-                stacklevel=4,
-            )
-            self._start_pool()
-        else:
-            warnings.warn(
-                f"sharded oracle pool failed again ({exc}); degrading "
-                "permanently to in-process serial shard backends "
-                "(answers stay bit-identical)",
-                ParallelFallback,
-                stacklevel=4,
-            )
-            self._degraded = True
-        self._sync_up_gauge()
+            return self._route(us, vs, want_witness)
 
     def _route(
         self, us: np.ndarray, vs: np.ndarray, want_witness: bool
@@ -1444,16 +1189,14 @@ class ShardedOracle(DistanceOracle):
     def _dispatch(
         self, requests: Dict[int, List[Tuple]]
     ) -> Dict[int, List]:
-        """One pipelined round against the pool (or the in-process
-        serial backends after degrade), with per-shard telemetry."""
+        """One pipelined round against the pool (under its failure
+        ladder) or the in-process serial backends, with per-shard
+        telemetry."""
         start = time.perf_counter()
-        if self._pool is not None:
-            results = self._pool.roundtrip(requests)  # may raise _PoolBroken
+        if self._pool is not None and not self._closed:
+            results = self._pool.run(requests, self._serial_round)
         else:
-            results = {
-                s: [self._backends[s].handle(op) for op in ops]
-                for s, ops in requests.items()
-            }
+            results = self._serial_round(requests)
         elapsed = time.perf_counter() - start
         enabled = _metrics.ENABLED
         for s, ops in requests.items():
@@ -1467,6 +1210,14 @@ class ShardedOracle(DistanceOracle):
                 counter.inc(routed)
                 histogram.observe(elapsed)
         return results
+
+    def _serial_round(
+        self, requests: Dict[int, List[Tuple]]
+    ) -> Dict[int, List]:
+        return {
+            s: [self._backends[s].handle(op) for op in ops]
+            for s, ops in requests.items()
+        }
 
     # -- telemetry -----------------------------------------------------
     def set_mount(self, name: str) -> None:
@@ -1487,11 +1238,18 @@ class ShardedOracle(DistanceOracle):
         return child
 
     def _sync_up_gauge(self) -> None:
+        """Back each shard's ``repro_shard_up`` by the pool's live state
+        (a weak reference: the registry must not keep the workers)."""
         if not _metrics.ENABLED:
             return
-        up = 1.0 if self._pool is not None else 0.0
+        ref = weakref.ref(self._pool) if self._pool is not None else None
+
+        def up() -> float:
+            pool = ref() if ref is not None else None
+            return 1.0 if pool is not None and pool.active else 0.0
+
         for s in range(self.shards):
-            _instr.SHARD_UP.labels(self._mount, str(s)).set(up)
+            _instr.SHARD_UP.labels(self._mount, str(s)).set_function(up)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
@@ -1500,9 +1258,17 @@ class ShardedOracle(DistanceOracle):
         base.update({
             "shards": int(self.shards),
             "shard_bounds": [int(b) for b in self._bounds],
-            "shard_mode": "pool" if self._pool is not None else "serial",
-            "shard_degraded": bool(self._degraded),
-            "pool_rebuilds": int(self._rebuilds),
+            "shard_mode": (
+                "pool" if self._pool is not None and self._pool.active
+                else "serial"
+            ),
+            "shard_degraded": bool(
+                self._pool.degraded if self._pool is not None
+                else self._fork_missing
+            ),
+            "pool_rebuilds": (
+                self._pool.rebuilds if self._pool is not None else 0
+            ),
             "shard_queries": [
                 int(c) for c in self._shard_query_counts
             ],
@@ -1515,14 +1281,9 @@ class ShardedOracle(DistanceOracle):
         Served by the live pool when one exists, else by the in-process
         backends."""
         with self._route_lock:
-            while True:
-                try:
-                    results = self._dispatch(
-                        {s: [("stats",)] for s in range(self.shards)}
-                    )
-                    break
-                except _PoolBroken as exc:
-                    self._handle_pool_failure(exc)
+            results = self._dispatch(
+                {s: [("stats",)] for s in range(self.shards)}
+            )
         return [results[s][0] for s in range(self.shards)]
 
     # -- path queries (merged-view helpers) ----------------------------

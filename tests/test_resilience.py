@@ -31,6 +31,7 @@ import pytest
 
 from repro import cli, oracle
 from repro.graph import generators as gen
+from repro.kernels import forkpool
 from repro.kernels import parallel as par
 from repro.oracle import (
     AdmissionController,
@@ -53,6 +54,7 @@ from repro.oracle import (
     start_async_server,
 )
 from repro.oracle.faults import FaultInjector
+from repro.oracle.sharded import save_sharded_artifact
 
 
 @pytest.fixture(autouse=True)
@@ -209,28 +211,41 @@ class TestAdmission:
 _SAVE_STAGES = ("begin", "estimates", "arrays", "manifest", "rename", "swap")
 
 
+def _save_sharded(artifact, path):
+    save_sharded_artifact(artifact, path, shards=2)
+
+
+# Both layouts share one staged writer, so one stage list covers both
+# (the unsharded cases keep their bare stage ids).
+_SAVES = [pytest.param(stage, save_artifact, id=stage)
+          for stage in _SAVE_STAGES] + [
+    pytest.param(stage, _save_sharded, id=f"sharded-{stage}")
+    for stage in _SAVE_STAGES
+]
+
+
 class TestCrashSafeSave:
-    @pytest.mark.parametrize("stage", _SAVE_STAGES)
+    @pytest.mark.parametrize("stage,save", _SAVES)
     def test_interrupt_with_no_prior_artifact(
-        self, stage, matrix_artifact, tmp_path
+        self, stage, save, matrix_artifact, tmp_path
     ):
         """A first save interrupted anywhere leaves *no* artifact."""
         path = str(tmp_path / "a")
         FAULTS.arm("artifact.save", "error", stage=stage)
         if stage == "swap":  # no prior artifact: swap never runs
             FAULTS.disarm()
-            save_artifact(matrix_artifact, path)
+            save(matrix_artifact, path)
             assert load_artifact(path, verify=True)
             return
         with pytest.raises(InjectedFault):
-            save_artifact(matrix_artifact, path)
+            save(matrix_artifact, path)
         FAULTS.disarm()
         with pytest.raises(ArtifactError):
             load_artifact(path)
 
-    @pytest.mark.parametrize("stage", _SAVE_STAGES)
+    @pytest.mark.parametrize("stage,save", _SAVES)
     def test_interrupt_preserves_old_artifact(
-        self, stage, served_graph, tmp_path
+        self, stage, save, served_graph, tmp_path
     ):
         """An overwrite interrupted anywhere leaves the *old* artifact
         loadable and checksum-clean."""
@@ -243,18 +258,44 @@ class TestCrashSafeSave:
             rng=np.random.default_rng(2),
         )
         path = str(tmp_path / "a")
-        save_artifact(old, path)
+        save(old, path)
         FAULTS.arm("artifact.save", "error", stage=stage)
         with pytest.raises(InjectedFault):
-            save_artifact(new, path)
+            save(new, path)
         FAULTS.disarm()
         survivor = load_artifact(path, verify=True)
         assert survivor.manifest["params"] == old.manifest["params"]
         # And the next (healthy) save completes and reaps any leftovers.
-        save_artifact(new, path)
+        save(new, path)
         assert load_artifact(path, verify=True).manifest["params"] == \
             new.manifest["params"]
         assert os.listdir(tmp_path) == ["a"]
+
+    @pytest.mark.parametrize("save", [save_artifact, _save_sharded])
+    def test_every_staged_directory_fsynced(
+        self, save, matrix_artifact, tmp_path, monkeypatch
+    ):
+        """The staging directory and every subdirectory the writer made
+        are fsynced before the commit renames the staging into place."""
+        from repro.oracle import artifact as artifact_mod
+
+        synced = []
+        real = artifact_mod._fsync_dir
+        monkeypatch.setattr(
+            artifact_mod, "_fsync_dir",
+            lambda d: synced.append(d) or real(d),
+        )
+        path = str(tmp_path / "a")
+        save(matrix_artifact, path)
+        staging = f"{path}.tmp-{os.getpid()}"
+        made = {
+            os.path.join(staging, d) for d in os.listdir(path)
+            if os.path.isdir(os.path.join(path, d))
+        }
+        assert made <= set(synced) and staging in synced
+        assert synced.index(staging) > max(
+            (synced.index(d) for d in made), default=-1
+        )
 
     def test_leftover_tmp_dirs_are_reaped(self, matrix_artifact, tmp_path):
         path = str(tmp_path / "a")
@@ -877,7 +918,7 @@ class TestPoolSupervision:
     def test_bad_pool_timeout_rejected(self, monkeypatch):
         monkeypatch.setenv(par.ENV_POOL_TIMEOUT_VAR, "soon")
         with pytest.raises(ValueError, match="REPRO_POOL_TIMEOUT"):
-            par._pool_timeout()
+            forkpool.pool_timeout()
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,12 @@ artifact (DESIGN.md §10).
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
+import urllib.request
 import warnings
 
 import numpy as np
@@ -533,6 +536,96 @@ class TestSupervision:
             assert np.array_equal(got_d, want_d)
         finally:
             so.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="needs /proc"
+    )
+    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    def test_served_kill_twice_degrades_and_keeps_serving(
+        self, sharded_dir, frontend
+    ):
+        """Full process: a worker of a ``repro serve`` shard pool dies,
+        the pool is rebuilt (its workers fork after the server installed
+        its SIGTERM/SIGINT handlers), then a rebuilt worker dies too.
+        Stopping the rebuilt pool must not reach the server's drain
+        handlers: it degrades to serial and keeps answering."""
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--frontend", frontend,
+             "--artifact", f"tz={sharded_dir}", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            base = None
+            deadline = time.monotonic() + 60
+            while base is None and time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if "healthz" in line:
+                    base = line.split("GET ")[1].split("/info")[0]
+            assert base, "server never printed its URL"
+            # Drain the server's output so it never blocks on the pipe.
+            threading.Thread(
+                target=proc.stdout.read, daemon=True
+            ).start()
+            body = {"pairs": [[0, 199], [1, 198], [2, 7], [130, 5]]}
+            want = _http(base, "/query", body)
+
+            def stats():
+                return _http(base, "/info")["artifacts"]["tz"]["stats"]
+
+            assert stats()["shard_mode"] == "pool"
+            for _ in range(2):
+                workers = _forked_children(proc.pid)
+                assert len(workers) == 4, workers
+                os.kill(workers[0], signal.SIGKILL)
+                assert _http(base, "/query", body) == want
+                assert stats()["pool_rebuilds"] == 1
+            time.sleep(0.5)  # let any stray signal reach the server
+            assert proc.poll() is None
+            assert _http(base, "/healthz")["ok"] is True
+            assert _http(base, "/query", body) == want
+            s = stats()
+            assert s["shard_degraded"] is True
+            assert s["shard_mode"] == "serial"
+            assert _forked_children(proc.pid) == []
+        finally:
+            proc.kill()
+            proc.wait()
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+
+def _http(base, path, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    req = urllib.request.Request(base + path, data=data)
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        return json.loads(resp.read())
+
+
+def _forked_children(pid):
+    """Live children of ``pid`` running its own command line — its
+    forked pool workers, not the exec'd resource tracker."""
+    with open(f"/proc/{pid}/cmdline", "rb") as f:
+        cmdline = f.read()
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                same = f.read() == cmdline
+        except OSError:
+            continue
+        # fields[0] is the state, fields[1] the parent pid.
+        if int(fields[1]) == pid and fields[0] != "Z" and same:
+            found.append(int(entry))
+    return sorted(found)
 
 
 # ----------------------------------------------------------------------
