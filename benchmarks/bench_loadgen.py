@@ -1,9 +1,9 @@
-"""E21 — the load-harness sweep: every workload profile x both front ends.
+"""E21 — the load-harness sweep: every workload profile.
 
 E20 measured one workload shape (uniform closed-loop singles).  The
 PR 8 load harness (:mod:`repro.loadgen`, DESIGN.md §8) makes the rest
-of the serving claims measurable; this benchmark records the full
-profile x front-end matrix over one ``exact`` artifact (plus the
+of the serving claims measurable; this benchmark records every
+profile over one ``exact`` artifact (plus the
 ``multi_tenant`` profile's own three-variant mount set):
 
 * ``uniform_random`` / ``zipf_hotspot`` — closed-loop singles; the
@@ -18,9 +18,9 @@ profile x front-end matrix over one ``exact`` artifact (plus the
   experiment measures throughput; the 503 path is the chaos suite's
   job, ``tests/test_loadgen.py::TestChaosAccounting``).
 
-Every run asserts zero failures and, per profile, bit-identical
-per-query answers across the two front ends (the harness's
-ordered-answers digest).  Writes ``benchmarks/results/E21.{txt,json}``
+Every run asserts zero failures and, per profile, served answers
+bit-identical query by query to the same requests answered in-process
+(the harness's ``identical_to_engine``).  Writes ``benchmarks/results/E21.{txt,json}``
 and merges a ``loadgen`` key into the repo-root ``BENCH_kernels.json``.
 Runnable directly (``python benchmarks/bench_loadgen.py``; ``--quick``
 for the file-free CI smoke) or through the pytest entry point.
@@ -47,27 +47,24 @@ _LIMITS = dataclasses.replace(oracle.DEFAULT_LIMITS, max_inflight=4096)
 
 
 def run(quick=False):
-    """The full sweep: every registered profile, both front ends."""
+    """The full sweep: every registered profile."""
     knobs = loadgen.QUICK if quick else loadgen.DEFAULTS
     results = []
     for name in loadgen.profile_names():
         report = loadgen.run(
             name,
-            frontends=oracle.FRONTENDS,
             seed=SEED,
             limits=_LIMITS,
             quick=quick,
             n=knobs["n"],
         )
-        assert report["identical_across_frontends"], (
-            f"profile {name}: answers differ across front ends"
+        assert report["identical_to_engine"], (
+            f"profile {name}: served answers differ from the engine"
         )
-        for frontend, r in report["frontends"].items():
-            assert r["failures"]["total"] == 0, (
-                f"profile {name} on {frontend}: "
-                f"{r['failures']['by_status']}"
-            )
-            results.append(r)
+        assert report["failures"]["total"] == 0, (
+            f"profile {name}: {report['failures']['by_status']}"
+        )
+        results.append(report)
     return results
 
 
@@ -77,7 +74,7 @@ def _result_table(results):
         lat = r["latency_ms"]
         coalescing = r["server"].get("coalescing")
         rows.append([
-            r["profile"], r["frontend"], r["driver"], r["requests"],
+            r["profile"], r["driver"], r["requests"],
             f"{r['qps']:.0f}", f"{r['query_qps']:.0f}",
             f"{lat['p50']:.2f}", f"{lat['p95']:.2f}", f"{lat['p99']:.2f}",
             f"{lat['max']:.2f}",
@@ -85,7 +82,7 @@ def _result_table(results):
             f"{r['failures']['rate']:.3f}",
         ])
     return format_table(
-        ["profile", "frontend", "driver", "req", "q/s", "query q/s",
+        ["profile", "driver", "req", "q/s", "query q/s",
          "p50 (ms)", "p95 (ms)", "p99 (ms)", "max (ms)", "mean batch",
          "fail rate"],
         rows,
@@ -110,7 +107,7 @@ def _update_root_json(results):
 def persist(results):
     table = _result_table(results)
     record_experiment(
-        "E21", "load harness: workload profiles x serving front ends",
+        "E21", "load harness: workload profiles",
         table, payload=results,
     )
     _update_root_json(results)
@@ -118,8 +115,8 @@ def persist(results):
 
 
 def test_loadgen_sweep():
-    """Acceptance (ISSUE 8): every profile runs clean on both front
-    ends with bit-identical answers; results recorded as E21."""
+    """Acceptance: every profile runs clean with served answers
+    bit-identical to the engine; results recorded as E21."""
     persist(run())
 
 

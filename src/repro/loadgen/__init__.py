@@ -18,10 +18,11 @@ run — applied to the Dory–Parter distance-oracle servers (PR 6/7):
   retries disabled so failures are observed, not masked.
 * :mod:`repro.loadgen.metrics` — per-run report: p50/p95/p99/max/mean
   latency, q/s, failure rate by status code, duration, and an
-  ordered-answers digest for cross-frontend fidelity checks.
-* :mod:`repro.loadgen.harness` — ties them together behind a real HTTP
-  front end (``threaded`` or ``async``) and scrapes the server's own
-  ``/info`` counters into the report.
+  ordered-answers digest for bit-identity checks.
+* :mod:`repro.loadgen.harness` — ties them together behind the real
+  HTTP front end, scrapes the server's own ``/info`` counters into the
+  report, and checks the served answers against the same requests
+  answered in-process (``identical_to_engine``).
 
 Entry points: ``repro loadgen --profile NAME`` (CLI),
 ``benchmarks/bench_loadgen.py`` (E21), and the verification suite in
@@ -35,6 +36,7 @@ from .harness import (
     DEFAULTS,
     QUICK,
     build_tenants,
+    engine_answers_digest,
     load_mounts,
     run,
     run_profile,
@@ -83,6 +85,7 @@ __all__ = [
     "all_profiles",
     "answers_digest",
     "build_tenants",
+    "engine_answers_digest",
     "get_profile",
     "latency_summary",
     "load_mounts",

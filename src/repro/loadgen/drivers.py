@@ -44,7 +44,28 @@ from ..oracle.client import OracleClient, OracleClientError
 from .metrics import QueryOutcome
 from .profiles import Request
 
-__all__ = ["run_closed_loop", "run_open_loop"]
+__all__ = ["outcome", "run_closed_loop", "run_open_loop"]
+
+
+def outcome(
+    req: Request,
+    index: int,
+    status: int,
+    body: Dict[str, object],
+    latency_ms: float = math.inf,
+) -> QueryOutcome:
+    """The outcome of one answered request, from its status and JSON
+    body (served, or answered in-process for the engine replay)."""
+    if status == 200:
+        answer = body.get("distances") if req.kind == "batch" else body.get("distance")
+        error = None
+    else:
+        answer, error = None, str(body.get("error", body))
+    return QueryOutcome(
+        index=index, tenant=req.tenant, kind=req.kind,
+        status=status, latency_ms=latency_ms, answer=answer,
+        pairs=req.pairs, error=error,
+    )
 
 
 def _issue(
@@ -62,16 +83,8 @@ def _issue(
             status=None, latency_ms=math.inf, pairs=req.pairs,
             error=str(exc),
         )
-    latency_ms = (time.perf_counter() - t0) * 1e3
-    if status == 200:
-        answer = body.get("distances") if req.kind == "batch" else body.get("distance")
-        error = None
-    else:
-        answer, error = None, str(body.get("error", body))
-    return QueryOutcome(
-        index=index, tenant=req.tenant, kind=req.kind,
-        status=status, latency_ms=latency_ms, answer=answer,
-        pairs=req.pairs, error=error,
+    return outcome(
+        req, index, status, body, (time.perf_counter() - t0) * 1e3
     )
 
 

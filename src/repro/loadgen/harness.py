@@ -1,34 +1,36 @@
-"""The run harness: profile x driver x front end -> one JSON report.
+"""The run harness: profile x driver -> one JSON report.
 
 This is the llm-d-benchmark "launcher" equivalent for the oracle
 serving stack: pick a named :class:`~repro.loadgen.profiles.WorkloadProfile`,
-mount one or more artifacts behind a real HTTP front end (``threaded``
-or ``async`` — the same code paths ``repro serve`` runs), drive the
+mount one or more artifacts behind the real HTTP front end (the same
+code paths ``repro serve`` runs), drive the
 profile's deterministic request sequence with the matching driver, and
 reduce the outcomes to the fixed metrics table
 (:mod:`repro.loadgen.metrics`), annotated with the server's own
 counters scraped from ``GET /info`` — coalescing stats, admission
 admitted/rejected, engine cache hits — so a report can be
 cross-checked against what the server says happened (the chaos suite
-asserts the two agree exactly).
+asserts the two agree exactly).  The same request sequence is then
+replayed in-process through :meth:`OracleRouter.handle`; the report's
+``identical_to_engine`` says whether the served answers digest equal to
+the replay's, i.e. whether HTTP serving changed any answer bit.
 
 The sweep axes come from the registries: profiles from
 :func:`repro.loadgen.profiles.all_profiles`, variants from
 :mod:`repro.variants` (:func:`sweepable_variants` lists every
-oracle-buildable ``(variant, kind)`` — the same derivation PR 5's
-benchmark plans use), front ends from :data:`repro.oracle.FRONTENDS`.
+oracle-buildable ``(variant, kind)`` — the same derivation the
+benchmark plans use).
 
-Entry points: :func:`run` (build tenants once, run one profile against
-one or more front ends, compare answers bit-for-bit) backs the
+Entry points: :func:`run` (build tenants, run one profile, check the
+served answers against the in-process engine) backs the
 ``repro loadgen`` CLI and the E21 benchmark; :func:`run_profile` is the
-single-(profile, frontend) core the tests drive directly.
+served-run core the tests drive directly.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,27 +40,28 @@ from ..graph import generators
 from ..oracle import (
     DEFAULT_LIMITS,
     DistanceOracle,
-    FRONTENDS,
     OracleClient,
     OracleRouter,
     ServingLimits,
     ShardedOracle,
     build_oracle,
     is_sharded_artifact,
-    make_server,
     start_async_server,
 )
 from ..telemetry import MetricsSnapshot, parse_exposition
-from .drivers import run_closed_loop, run_open_loop
+from .drivers import outcome, run_closed_loop, run_open_loop
 from .metrics import QueryOutcome, answers_digest, summarize
 from .profiles import (
     LoadgenError,
     ProfileContext,
+    Request,
+    WorkloadProfile,
     get_profile,
 )
 
 __all__ = [
     "build_tenants",
+    "engine_answers_digest",
     "load_mounts",
     "run",
     "run_profile",
@@ -159,40 +162,56 @@ def load_mounts(
 
 
 # ----------------------------------------------------------------------
-# Server lifecycle (both front ends behind one surface)
+# Server lifecycle and the in-process reference
 # ----------------------------------------------------------------------
 
-def _start_frontend(
-    frontend: str,
+def _start_server(
     oracles: Sequence[Tuple[str, DistanceOracle]],
     limits: Optional[ServingLimits],
 ):
-    """Start one front end over the mounted oracles; returns
+    """Serve the mounted oracles over HTTP; returns
     ``(base_url, stop_callable)``."""
-    if frontend not in FRONTENDS:
-        raise LoadgenError(
-            f"unknown frontend {frontend!r}; expected one of {FRONTENDS}"
-        )
     router = OracleRouter()
     for name, oracle in oracles:
         router.mount(name, oracle, limits=limits)
-    if frontend == "async":
-        handle = start_async_server(router, limits=limits)
-        base = "http://%s:%s" % handle.server_address[:2]
-        return base, handle.drain_and_shutdown
-    server = make_server(router, limits=limits)
-    thread = threading.Thread(
-        target=server.serve_forever, name="loadgen-threaded", daemon=True
+    handle = start_async_server(router, limits=limits)
+    base = "http://%s:%s" % handle.server_address[:2]
+    return base, handle.drain_and_shutdown
+
+
+def _requests(
+    profile_name: str,
+    oracles: Sequence[Tuple[str, DistanceOracle]],
+    requests: int,
+    seed: int,
+    params: Optional[Dict[str, object]],
+) -> Tuple[WorkloadProfile, ProfileContext, Dict[str, object], List[Request]]:
+    """The profile's seeded request sequence over these tenants, with
+    the context and resolved params that produced it."""
+    profile = get_profile(profile_name)
+    ctx = ProfileContext(
+        tenants=tuple((name, o.n) for name, o in oracles),
+        requests=int(requests),
+        seed=int(seed),
     )
-    thread.start()
-    base = "http://%s:%s" % server.server_address[:2]
+    resolved = profile.resolve_params(params, n=ctx.first_tenant[1])
+    return profile, ctx, resolved, profile.build_requests(ctx, **resolved)
 
-    def stop():
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
 
-    return base, stop
+def engine_answers_digest(
+    oracles: Sequence[Tuple[str, DistanceOracle]],
+    reqs: Sequence[Request],
+) -> str:
+    """The answers digest of ``reqs`` answered in-process, one by one,
+    through :meth:`OracleRouter.handle` — the reference a served run's
+    ``answers_digest`` must equal."""
+    router = OracleRouter()
+    for name, oracle in oracles:
+        router.mount(name, oracle)
+    return answers_digest([
+        outcome(req, i, *router.handle(dict(req.payload), name=req.tenant))
+        for i, req in enumerate(reqs)
+    ])
 
 
 def scrape_info(base_url: str, timeout_s: float = 10.0) -> Dict[str, object]:
@@ -207,8 +226,8 @@ def scrape_info(base_url: str, timeout_s: float = 10.0) -> Dict[str, object]:
 def scrape_metrics(base_url: str, timeout_s: float = 10.0) -> MetricsSnapshot:
     """One parsed ``GET /metrics`` snapshot (the registry is
     process-global, so loadgen scrapes *around* each run and reports the
-    delta — a second front end in the same process starts from the
-    first's counters)."""
+    delta — a second run in the same process starts from the first's
+    counters)."""
     with OracleClient(base_url, max_attempts=1, timeout_s=timeout_s) as client:
         return parse_exposition(client.metrics_text())
 
@@ -279,44 +298,32 @@ def _metrics_section(delta: MetricsSnapshot) -> Dict[str, object]:
 def _server_section(info: Dict[str, object]) -> Dict[str, object]:
     """The report's ``server`` block: per-mount admission/cache/coalesce
     counters plus an aggregate coalescing rollup (sum over mounts)."""
-    artifacts = info.get("artifacts", {})
     per_mount = {}
     agg = {"batches": 0, "coalesced": 0, "largest_batch": 0}
-    any_coalescing = False
-    for name, entry in artifacts.items():
-        mount = {
+    for name, entry in info.get("artifacts", {}).items():
+        coalescing = entry["coalescing"]
+        per_mount[name] = {
             "serving": entry.get("serving"),
             "engine": entry.get("stats"),
+            "coalescing": coalescing,
         }
-        coalescing = entry.get("coalescing")
-        if coalescing is not None:
-            any_coalescing = True
-            mount["coalescing"] = coalescing
-            agg["batches"] += int(coalescing.get("batches", 0))
-            agg["coalesced"] += int(coalescing.get("coalesced", 0))
-            agg["largest_batch"] = max(
-                agg["largest_batch"], int(coalescing.get("largest_batch", 0))
-            )
-        per_mount[name] = mount
-    section: Dict[str, object] = {
-        "http": info.get("http"),
-        "mounts": per_mount,
-    }
-    if any_coalescing:
-        agg["mean_batch"] = (
-            agg["coalesced"] / agg["batches"] if agg["batches"] else 0.0
+        agg["batches"] += coalescing["batches"]
+        agg["coalesced"] += coalescing["coalesced"]
+        agg["largest_batch"] = max(
+            agg["largest_batch"], coalescing["largest_batch"]
         )
-        section["coalescing"] = agg
-    return section
+    agg["mean_batch"] = (
+        agg["coalesced"] / agg["batches"] if agg["batches"] else 0.0
+    )
+    return {"http": info.get("http"), "mounts": per_mount, "coalescing": agg}
 
 
 # ----------------------------------------------------------------------
-# Run one (profile, frontend)
+# Run one profile
 # ----------------------------------------------------------------------
 
 def run_profile(
     profile_name: str,
-    frontend: str,
     oracles: Sequence[Tuple[str, DistanceOracle]],
     *,
     requests: int = DEFAULTS["requests"],
@@ -329,7 +336,7 @@ def run_profile(
     open_workers: Optional[int] = None,
     timeout_s: float = 30.0,
 ) -> Tuple[Dict[str, object], List[QueryOutcome]]:
-    """Drive one profile against one front end; returns
+    """Drive one profile against a served mount; returns
     ``(report, outcomes)``.
 
     The report is the per-run metrics block from
@@ -339,16 +346,11 @@ def run_profile(
     compares.  ``driver=None`` uses the profile's default; ``limits``
     defaults to the stock :data:`~repro.oracle.DEFAULT_LIMITS`.
     """
-    profile = get_profile(profile_name)
-    ctx = ProfileContext(
-        tenants=tuple((name, o.n) for name, o in oracles),
-        requests=int(requests),
-        seed=int(seed),
+    profile, ctx, resolved, reqs = _requests(
+        profile_name, oracles, requests, seed, params
     )
-    resolved = profile.resolve_params(params, n=ctx.first_tenant[1])
-    reqs = profile.build_requests(ctx, **resolved)
     drv = driver or profile.driver
-    base, stop = _start_frontend(frontend, oracles, limits or DEFAULT_LIMITS)
+    base, stop = _start_server(oracles, limits or DEFAULT_LIMITS)
     try:
         metrics_before = scrape_metrics(base)
         if drv == "closed":
@@ -374,7 +376,6 @@ def run_profile(
     report = summarize(outcomes, duration)
     report.update({
         "profile": profile.name,
-        "frontend": frontend,
         "driver": drv,
         "seed": int(seed),
         "params": resolved,
@@ -387,12 +388,11 @@ def run_profile(
 
 
 # ----------------------------------------------------------------------
-# Run a whole sweep (the CLI / benchmark entry point)
+# The CLI / benchmark entry point
 # ----------------------------------------------------------------------
 
 def run(
     profile_name: str,
-    frontends: Sequence[str] = FRONTENDS,
     *,
     oracles: Optional[Sequence[Tuple[str, DistanceOracle]]] = None,
     mounts: Optional[Sequence[Tuple]] = None,
@@ -409,14 +409,17 @@ def run(
     quick: bool = False,
     timeout_s: float = 30.0,
 ) -> Dict[str, object]:
-    """One profile against one or more front ends, tenants built once.
+    """One profile against a served mount, checked against the engine.
 
     Tenant sources, in precedence order: ``oracles`` (pre-built
     engines), ``mounts`` (on-disk artifact mount tuples), else built
     from ``family``/``n``/``variant``.  Explicit knobs beat the
-    ``quick``/full defaults.  When two or more front ends run, the
-    report carries ``identical_across_frontends`` — ordered
-    answers-digest equality, i.e. bit-identical per-query results.
+    ``quick``/full defaults.  The report is :func:`run_profile`'s with
+    ``tenants`` described in full, plus ``quick`` and
+    ``identical_to_engine``: whether the served ordered answers digest
+    equals the same requests answered in-process
+    (:func:`engine_answers_digest`), i.e. bit-identical per-query
+    results.
     """
     base_knobs = QUICK if quick else DEFAULTS
     family = family or base_knobs["family"]
@@ -434,32 +437,25 @@ def run(
                 profile_name, family=family, n=n, variant=variant, seed=seed
             )
 
-    per_frontend: Dict[str, Dict[str, object]] = {}
-    for frontend in frontends:
-        report, _ = run_profile(
-            profile_name, frontend, oracles,
-            requests=requests, concurrency=concurrency, rate=rate,
-            seed=seed, driver=driver, params=params, limits=limits,
-            timeout_s=timeout_s,
-        )
-        per_frontend[frontend] = report
-
-    full: Dict[str, object] = {
-        "profile": profile_name,
-        "seed": int(seed),
-        "requests": int(requests),
+    report, _ = run_profile(
+        profile_name, oracles,
+        requests=requests, concurrency=concurrency, rate=rate,
+        seed=seed, driver=driver, params=params, limits=limits,
+        timeout_s=timeout_s,
+    )
+    reqs = _requests(profile_name, oracles, requests, seed, params)[3]
+    report.update({
         "quick": bool(quick),
         "tenants": [
             {"name": name, "variant": o.artifact.variant,
              "kind": o.kind, "n": o.n}
             for name, o in oracles
         ],
-        "frontends": per_frontend,
-    }
-    if len(per_frontend) > 1:
-        digests = {r["answers_digest"] for r in per_frontend.values()}
-        full["identical_across_frontends"] = len(digests) == 1
-    return full
+        "identical_to_engine": (
+            report["answers_digest"] == engine_answers_digest(oracles, reqs)
+        ),
+    })
+    return report
 
 
 def write_report(report: Dict[str, object], path: str) -> str:

@@ -33,9 +33,9 @@ profile            driver traffic shape
 Determinism is the contract that makes the harness a measuring
 instrument: the request sequence and the open-loop arrival schedule are
 pure functions of the profile name, resolved params, seed, and the
-mounted tenants — never of the front end, wall clock, or completion
+mounted tenants — never of the server, wall clock, or completion
 order — so two runs with the same seed issue byte-identical queries and
-their answers can be compared bit for bit (the cross-frontend fidelity
+their answers can be compared bit for bit (the engine-vs-HTTP fidelity
 test does exactly that).
 
 Only stdlib + numpy + :mod:`repro.variants` are imported here; profile
@@ -278,7 +278,7 @@ def poisson_schedule(
     """Open-loop Poisson arrivals: ``count`` cumulative offsets (s) with
     seeded exponential inter-arrival times at mean ``1/rate``.  A pure
     function of ``(count, rate, seed)`` — the same seed replays the
-    exact schedule on any front end."""
+    exact schedule in every run."""
     if rate <= 0:
         raise LoadgenError(f"open-loop rate must be > 0 req/s, got {rate!r}")
     gaps = np.random.default_rng(seed).exponential(1.0 / rate, size=count)

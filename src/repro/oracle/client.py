@@ -11,14 +11,15 @@ as-is (a ``400`` will not become a ``200`` by retrying it).  The CLI's
 load-generation harness points at a fleet.
 
 The client holds one **keep-alive** connection and reuses it across
-calls — against the async front end every query after the first skips
-the TCP handshake, which is most of a single query's cost.  A reused
+calls — against ``repro serve`` every query after the first skips the
+TCP handshake, which is most of a single query's cost.  A reused
 socket can always have gone stale between requests (server drained,
 idle timeout, HTTP/1.0 peer closing per-request); the client detects
 the stale-socket error, transparently reconnects exactly once, and
-counts the event in :attr:`OracleClient.reconnects`.  Servers that
-answer ``Connection: close`` (the threaded front end) simply cost a
-fresh connection per call — correct, just slower, and *not* counted
+counts the event in :attr:`OracleClient.reconnects`.  A response
+under ``Connection: close`` (an error that ends the connection, or a
+server that does not keep connections alive) simply costs a fresh
+connection on the next call — correct, just slower, and *not* counted
 as a reconnect.
 
 No new dependencies: ``http.client`` + ``json`` only.
@@ -385,8 +386,8 @@ class OracleClient:
         if request_id is not None:
             self.last_request_id = request_id
         if resp.will_close:
-            # Server asked for Connection: close (e.g. the threaded
-            # front end) — drop quietly; not a stale-socket event.
+            # Server asked for Connection: close — drop quietly; not a
+            # stale-socket event.
             self.close()
         else:
             self._conn_used = True

@@ -4,28 +4,31 @@ E19 measured the engine answering *batched* gathers 45-244x faster than
 the same queries issued one at a time — but production traffic arrives
 as independent single queries.  This module closes that gap with the
 micro-batching trick inference servers use to saturate their kernels:
-park concurrent single requests for a bounded window, answer the
-accumulated batch with **one** :meth:`DistanceOracle.query_batch` call,
-and fan the results back to each waiter.
+answer every parked query with **one** :meth:`DistanceOracle.query_batch`
+call and fan the results back to each waiter.
 
 :class:`QueryCoalescer` is deliberately thread-based, not
 asyncio-native: waiters receive :class:`concurrent.futures.Future`
-objects, so the coalescer is unit-testable without an event loop and
-usable from any front end (the asyncio server bridges with
-``asyncio.wrap_future``).  One daemon flusher thread per coalescer —
-the threaded front end never constructs one, so it pays nothing.
+objects, so the coalescer is unit-testable without an event loop (the
+asyncio server bridges with ``asyncio.wrap_future``).  One daemon
+flusher thread per coalescer.
 
-A parked batch flushes on the **first** of three triggers:
+The flush rule has no timer and no size trigger.  The flusher waits
+until something is parked, takes *everything* parked, flushes it, and
+repeats; queries that arrive while a flush runs form the next batch.
+A lone query under no load therefore flushes at once, and batches grow
+exactly as fast as the gather falls behind the arrival rate.  Batch
+size is bounded by admission control, not by the coalescer: every
+parked query holds one of its mount's ``max_inflight`` slots.  Each
+flush counts one reason in ``stats()["flushes"]``:
 
-==========  ========================================================
-trigger     fires when
-==========  ========================================================
-``window``  ``coalesce_window_ms`` elapsed since the batch opened
-            (opened = the first query parked in an empty queue)
-``size``    ``coalesce_max`` queries are parked — no reason to wait
-``drain``   :meth:`close` was called (graceful shutdown flushes the
-            queue instead of abandoning waiters)
-==========  ========================================================
+=========  =========================================================
+reason     the flush ran because
+=========  =========================================================
+``ready``  queries were parked and the flusher was idle
+``drain``  :meth:`close` was called (graceful shutdown answers the
+           parked queries instead of abandoning them)
+=========  =========================================================
 
 Failure semantics inside a flush mirror the per-request service paths:
 a waiter whose deadline expired while parked gets
@@ -90,23 +93,16 @@ class QueryCoalescer:
     the same typed exceptions the direct service path raises.
     """
 
-    def __init__(self, oracle, window_ms: float = 0.5, max_batch: int = 512):
-        if not window_ms >= 0:
-            raise ValueError(f"window_ms must be >= 0, got {window_ms!r}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    def __init__(self, oracle):
         self.oracle = oracle
-        self.window_s = float(window_ms) / 1000.0
-        self.max_batch = int(max_batch)
         self._cond = threading.Condition()
         self._pending: List[_Waiter] = []
-        self._opened_at: Optional[float] = None
         self._closed = False
         # stats (guarded by _cond's lock)
         self._batches = 0
         self._coalesced = 0
         self._largest_batch = 0
-        self._flushes: Dict[str, int] = {"window": 0, "size": 0, "drain": 0}
+        self._flushes: Dict[str, int] = {"ready": 0, "drain": 0}
         self._thread = threading.Thread(
             target=self._run, name="oracle-coalescer", daemon=True
         )
@@ -130,15 +126,13 @@ class QueryCoalescer:
                 raise CoalescerClosed(
                     "server is draining for shutdown; query not accepted"
                 )
-            if not self._pending:
-                self._opened_at = time.monotonic()
             self._pending.append(waiter)
             self._cond.notify_all()
         return waiter.future
 
     def close(self) -> None:
         """Stop accepting queries, flush anything parked (``drain``
-        trigger), and join the flusher thread.  Idempotent."""
+        reason), and join the flusher thread.  Idempotent."""
         with self._cond:
             if self._closed:
                 thread = None
@@ -148,11 +142,6 @@ class QueryCoalescer:
             self._cond.notify_all()
         if thread is not None:
             thread.join()
-
-    @property
-    def closed(self) -> bool:
-        with self._cond:
-            return self._closed
 
     def stats(self) -> Dict[str, object]:
         """Coalescing counters for ``/info``."""
@@ -166,8 +155,6 @@ class QueryCoalescer:
                 "largest_batch": self._largest_batch,
                 "flushes": dict(self._flushes),
                 "pending": len(self._pending),
-                "window_ms": self.window_s * 1000.0,
-                "max_batch": self.max_batch,
             }
 
     # ------------------------------------------------------------------
@@ -178,26 +165,9 @@ class QueryCoalescer:
                     self._cond.wait()
                 if not self._pending and self._closed:
                     return
-                # A batch is open: wait out the window unless the size
-                # trigger (or shutdown) fires first.
-                flush_at = (self._opened_at or time.monotonic()) + self.window_s
-                while (
-                    len(self._pending) < self.max_batch
-                    and not self._closed
-                ):
-                    left = flush_at - time.monotonic()
-                    if left <= 0:
-                        break
-                    self._cond.wait(timeout=left)
                 batch = self._pending
                 self._pending = []
-                self._opened_at = None
-                if len(batch) >= self.max_batch:
-                    reason = "size"
-                elif self._closed:
-                    reason = "drain"
-                else:
-                    reason = "window"
+                reason = "drain" if self._closed else "ready"
                 self._batches += 1
                 self._coalesced += len(batch)
                 self._largest_batch = max(self._largest_batch, len(batch))

@@ -197,11 +197,9 @@ class ServingLimits:
     answered one vectorized pass at a time with a deadline check
     between, so a blown deadline reports how many pairs completed.
 
-    ``coalesce_window_ms`` / ``coalesce_max`` bound the async
-    front end's request coalescer (:mod:`repro.oracle.coalesce`):
-    concurrent single queries park for at most the window (or until the
-    size trigger fills a batch), then one vectorized gather answers all
-    of them.  The threaded front end ignores both.
+    ``max_inflight`` also bounds the request coalescer's batches
+    (:mod:`repro.oracle.coalesce`): every parked single query holds
+    one admission slot until its flush answers it.
 
     ``telemetry`` controls whether starting a server with these limits
     turns on the process-global metrics registry
@@ -218,8 +216,6 @@ class ServingLimits:
     batch_chunk: int = 8192
     retry_after_s: float = 1.0
     drain_timeout_s: float = 10.0
-    coalesce_window_ms: float = 0.5
-    coalesce_max: int = 512
     telemetry: bool = True
 
 

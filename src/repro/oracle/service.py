@@ -30,27 +30,25 @@ Every request now runs through the resilience layer
   instance), new queries get ``503``, in-flight requests finish up to
   the drain deadline, then the process exits 0.
 
-Two HTTP front ends share those semantics (both stdlib-only), selected
-by ``repro serve --frontend {threaded,async}``:
+The HTTP front end (:class:`AsyncOracleServer`, stdlib asyncio, served
+by ``repro serve``) keeps connections alive and **coalesces**
+concurrent single queries: each parks in its mount's
+:class:`~repro.oracle.coalesce.QueryCoalescer` and is answered by *one*
+vectorized ``query_batch`` gather run in a worker thread (the loop
+never blocks).  The coalescer flushes whatever is parked as soon as its
+previous flush is done, so a lone query never waits on a timer.
+Explicit batches, certificates, paths and info bypass the coalescer
+straight to a worker thread.  ``/info`` carries per-artifact
+``coalescing`` counters.
 
-* **threaded** (default) — a ``http.server.ThreadingHTTPServer``: one
-  connection per request (HTTP/1.0), one thread per connection.  Simple
-  and battle-tested; every single query pays the full per-request cost.
-* **async** — an asyncio server with keep-alive
-  (:class:`AsyncOracleServer`) that **coalesces** concurrent single
-  queries: requests park in a per-artifact
-  :class:`~repro.oracle.coalesce.QueryCoalescer`, flush on a bounded
-  window or a size trigger, and are answered by *one* vectorized
-  ``query_batch`` gather run in a worker thread (the loop never
-  blocks).  Explicit batches, certificates, paths and info bypass the
-  coalescer straight to a worker thread.  ``/info`` grows per-artifact
-  ``coalescing`` counters.  Failure semantics are identical to the
-  threaded front end (DESIGN.md §7).
-
-Routes are the same on both: ``POST /query[/<name>]`` with a JSON body,
-``GET /info[/<name>]`` and ``GET /healthz``.  Requests batch naturally:
-a ``pairs`` list (or parallel ``us`` / ``vs`` arrays) is answered
-chunk by chunk in vectorized engine passes.
+Routes: ``POST /query[/<name>]`` with a JSON body, ``POST
+/stream[/<name>]`` (newline-delimited JSON), ``GET /info[/<name>]``,
+``GET /healthz`` and ``GET /metrics``.  Requests batch naturally: a
+``pairs`` list (or parallel ``us`` / ``vs`` arrays) is answered chunk
+by chunk in vectorized engine passes.  The parser is bounded: a request
+line longer than :data:`MAX_REQUEST_LINE_BYTES` gets ``414``, more than
+:data:`MAX_HEADER_COUNT` header lines or one longer than
+:data:`MAX_HEADER_LINE_BYTES` gets ``431``.
 
 JSON has no ``Infinity``, so unreachable distances serialize as
 ``null``; the response's ``unreachable`` count makes that explicit.
@@ -73,7 +71,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from http.client import responses as _HTTP_REASONS
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -102,15 +99,24 @@ __all__ = [
     "AsyncServerHandle",
     "OracleRouter",
     "OracleService",
-    "OracleHTTPServer",
-    "FRONTENDS",
-    "make_server",
     "serve",
     "start_async_server",
 ]
 
-#: The serving front ends ``repro serve --frontend`` selects between.
-FRONTENDS = ("threaded", "async")
+#: Parser bounds: a longer request line is answered ``414``; more header
+#: lines, or a longer one, ``431``.  The connection closes after either.
+MAX_REQUEST_LINE_BYTES = 8192
+MAX_HEADER_LINE_BYTES = 8192
+MAX_HEADER_COUNT = 100
+#: A longer ``/stream`` line is answered ``413`` and ends the stream.
+MAX_STREAM_LINE_BYTES = 1 << 16
+#: After a 414/431 the connection reads and discards at most this many
+#: bytes, for at most this long, before it closes.
+_LINGER_BYTES = 1 << 20
+_LINGER_S = 1.0
+
+#: The ``frontend`` label value on the transport metrics and logs.
+_FRONTEND = "async"
 
 
 def _clean(value: float) -> Optional[float]:
@@ -125,7 +131,6 @@ _METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _log_request(
-    frontend: str,
     mount: Optional[str],
     status: int,
     duration_s: float,
@@ -140,14 +145,14 @@ def _log_request(
     _SERVING_LOG.log(
         level,
         "query frontend=%s mount=%s status=%d duration_ms=%.3f trace_id=%s",
-        frontend,
+        _FRONTEND,
         mount or "-",
         status,
         duration_s * 1000.0,
         trace_id,
         extra={
             "event": "request",
-            "frontend": frontend,
+            "frontend": _FRONTEND,
             "mount": mount or "",
             "status": status,
             "duration_ms": round(duration_s * 1000.0, 3),
@@ -156,14 +161,14 @@ def _log_request(
     )
 
 
-def _count_http_error(frontend: str, status: int) -> None:
+def _count_http_error(status: int) -> None:
     """Count a request rejected before it reached a mounted service."""
     if _metrics.ENABLED:
-        _instr.HTTP_ERRORS.labels(frontend, str(status)).inc()
+        _instr.HTTP_ERRORS.labels(_FRONTEND, str(status)).inc()
 
 
 def _healthz(server) -> Tuple[int, Dict[str, object]]:
-    """The `/healthz` body both front ends serve: liveness plus the
+    """The `/healthz` body: liveness plus the
     basics an operator wants without grepping ``/info`` — version,
     uptime, and how many artifacts are mounted."""
     body: Dict[str, object] = {
@@ -223,15 +228,10 @@ class OracleService:
 
     def attach_coalescer(self) -> QueryCoalescer:
         """Create (once) the coalescer :meth:`submit_coalesced` parks
-        queries in, bounded by ``limits.coalesce_window_ms`` /
-        ``limits.coalesce_max``.  Only the async front end calls this —
-        a service without one pays nothing."""
+        queries in.  The HTTP front end calls this at start; a service
+        driven in-process without one pays nothing."""
         if self.coalescer is None:
-            self.coalescer = QueryCoalescer(
-                self.oracle,
-                window_ms=self.limits.coalesce_window_ms,
-                max_batch=self.limits.coalesce_max,
-            )
+            self.coalescer = QueryCoalescer(self.oracle)
         return self.coalescer
 
     # ------------------------------------------------------------------
@@ -246,7 +246,7 @@ class OracleService:
         arms a deadline (capped at the server max).  Every failure maps
         to a typed JSON error — never an exception out of this method.
 
-        ``trace`` (attached by the HTTP front ends) collects per-stage
+        ``trace`` (attached by the HTTP front end) collects per-stage
         spans; a request with ``"debug": true`` gets it back in the
         response body.
         """
@@ -345,7 +345,7 @@ class OracleService:
     ) -> "Future[Tuple[int, Dict[str, object]]]":
         """Answer one *single* distance request via the coalescer.
 
-        The async front end's fast path: the query parks in the
+        The HTTP front end's fast path: the query parks in the
         coalescer (holding an admission slot — parked occupancy counts
         against ``max_inflight`` exactly like an in-flight thread) and
         the returned future resolves to the same ``(status, body)``
@@ -730,78 +730,8 @@ class OracleRouter:
 
 
 # ----------------------------------------------------------------------
-# HTTP front end (stdlib only)
+# HTTP front end: keep-alive + request coalescing (stdlib asyncio)
 # ----------------------------------------------------------------------
-
-class OracleHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server carrying an :class:`OracleRouter`.
-
-    Adds the process-level resilience state: the ``draining`` flag
-    (SIGTERM flips it; ``/healthz`` reports it; new queries are shed),
-    the client-disconnect counter, and :meth:`drain_and_shutdown` —
-    the graceful-exit sequence.
-    """
-
-    daemon_threads = True
-    # Deep accept backlog: load shedding is admission control's job
-    # (observable 503s + /info counters), not the kernel's — with the
-    # stdlib default of 5, a burst of simultaneous connects gets reset
-    # at the TCP layer before the resilience layer ever sees it.
-    request_queue_size = 128
-    router: OracleRouter
-    limits: ServingLimits
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.limits = DEFAULT_LIMITS
-        self.draining = False
-        self.started_at = time.monotonic()
-        self._http_lock = threading.Lock()
-        self._disconnects = 0
-        self._drain_started = False
-
-    # ------------------------------------------------------------------
-    def count_disconnect(self) -> None:
-        """Record a client that vanished mid-response."""
-        with self._http_lock:
-            self._disconnects += 1
-        if _metrics.ENABLED:
-            _instr.CLIENT_DISCONNECTS.labels("threaded").inc()
-
-    def http_stats(self) -> Dict[str, object]:
-        """Transport-level counters (merged into ``GET /info``)."""
-        with self._http_lock:
-            return {
-                "frontend": "threaded",
-                "client_disconnects": self._disconnects,
-                "draining": self.draining,
-            }
-
-    # ------------------------------------------------------------------
-    def drain_and_shutdown(self, timeout: Optional[float] = None) -> bool:
-        """The graceful exit: stop admitting, drain in-flight work up to
-        ``timeout`` (default ``limits.drain_timeout_s``), then stop the
-        accept loop.  Idempotent; returns True when every in-flight
-        request finished inside the budget.
-
-        Must not be called from the ``serve_forever`` thread
-        (``shutdown()`` would deadlock) — the signal handler runs it on
-        a helper thread.
-        """
-        with self._http_lock:
-            if self._drain_started:
-                return True
-            self._drain_started = True
-            self.draining = True
-        timeout = self.limits.drain_timeout_s if timeout is None else timeout
-        end = time.monotonic() + timeout
-        drained = True
-        for svc in self.router.services():
-            drained &= svc.admission.drain(max(0.0, end - time.monotonic()))
-        self.shutdown()
-        self.router.close()
-        return drained
-
 
 def _split_route(path: str, prefix: str) -> Tuple[bool, Optional[str]]:
     """Match ``/prefix`` or ``/prefix/<name>``; returns (matched, name)."""
@@ -814,203 +744,38 @@ def _split_route(path: str, prefix: str) -> Tuple[bool, Optional[str]]:
     return False, None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: OracleHTTPServer
-
-    def _send_payload(
-        self,
-        status: int,
-        payload: bytes,
-        content_type: str,
-        headers: Sequence[Tuple[str, str]] = (),
-    ) -> None:
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            for key, value in headers:
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-response: count it, drop the
-            # connection, keep the serving thread alive.
-            self.server.count_disconnect()
-            self.close_connection = True
-
-    def _respond(
-        self,
-        status: int,
-        body: Dict[str, object],
-        headers: Sequence[Tuple[str, str]] = (),
-    ) -> None:
-        if _metrics.ENABLED:
-            serialize_start = time.perf_counter()
-            payload = json.dumps(body).encode()
-            _instr.observe_stage(
-                None, "serialize", time.perf_counter() - serialize_start
-            )
-        else:
-            payload = json.dumps(body).encode()
-        self._send_payload(status, payload, "application/json", headers)
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if self.path == "/healthz":
-            self._respond(*_healthz(self.server))
-            return
-        if self.path == "/metrics":
-            self._send_payload(
-                200, _REGISTRY.render().encode(), _METRICS_CONTENT_TYPE
-            )
-            return
-        matched, name = _split_route(self.path, "/info")
-        if matched:
-            status, body = self.server.router.info(name)
-            if status == 200 and name is None:
-                body["http"] = self.server.http_stats()
-            self._respond(status, body)
-        else:
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        start = time.perf_counter()
-        # The request ID exists from the moment the headers are parsed —
-        # every /query response (including pre-service rejections)
-        # echoes it, so any failure can be grepped in the server logs.
-        request_id = (
-            clean_trace_id(self.headers.get("X-Request-Id")) or new_trace_id()
-        )
-        id_header = [("X-Request-Id", request_id)]
-
-        def _reject(
-            status: int,
-            body: Dict[str, object],
-            headers: Sequence[Tuple[str, str]] = (),
-        ) -> None:
-            _count_http_error("threaded", status)
-            self._respond(status, body, list(headers) + id_header)
-
-        if _split_route(self.path, "/stream")[0]:
-            # Streaming needs a connection owned by an event loop; the
-            # thread-per-request front end cannot hold one open.
-            _reject(501, {
-                "error": "newline-delimited streaming is only served by "
-                "the async front end (repro serve --frontend async)"
-            })
-            return
-        matched, name = _split_route(self.path, "/query")
-        if not matched:
-            _reject(404, {"error": f"unknown path {self.path!r}"})
-            return
-        if self.server.draining:
-            retry = self.server.limits.retry_after_s
-            _reject(
-                503,
-                {
-                    "error": "server is draining for shutdown; retry "
-                    "against another instance",
-                    "draining": True,
-                    "retry_after": retry,
-                },
-                headers=[("Retry-After", f"{retry:g}")],
-            )
-            return
-        raw_length = self.headers.get("Content-Length")
-        if raw_length is None:
-            _reject(
-                411, {"error": "Content-Length header is required"}
-            )
-            return
-        try:
-            length = int(raw_length)
-        except ValueError:
-            _reject(
-                400,
-                {"error": f"malformed Content-Length {raw_length!r}"},
-            )
-            return
-        if length <= 0:
-            _reject(
-                400,
-                {
-                    "error": f"Content-Length must be positive, got "
-                    f"{length} (send a JSON object body)"
-                },
-            )
-            return
-        if length > self.server.limits.max_body_bytes:
-            _reject(
-                413,
-                {
-                    "error": f"request body of {length} bytes exceeds "
-                    f"this server's max_body_bytes="
-                    f"{self.server.limits.max_body_bytes}",
-                    "max_body_bytes": self.server.limits.max_body_bytes,
-                },
-            )
-            return
-        try:
-            request = json.loads(self.rfile.read(length))
-        except (ValueError, json.JSONDecodeError) as exc:
-            _reject(400, {"error": f"malformed JSON request: {exc}"})
-            return
-        trace = RequestTrace(
-            trace_id=request_id,
-            debug=isinstance(request, dict) and request.get("debug") is True,
-        )
-        _instr.observe_stage(trace, "parse", time.perf_counter() - start)
-        svc, rstatus, err = self.server.router._resolve(name)
-        if svc is None:
-            _reject(rstatus, err)
-            return
-        status, body = svc.handle(request, trace)
-        headers = list(id_header)
-        if status == 503 and "retry_after" in body:
-            headers.append(("Retry-After", f"{float(body['retry_after']):g}"))
-        self._respond(status, body, headers)
-        _log_request(
-            "threaded", svc.name, status, time.perf_counter() - start, trace
-        )
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
+async def _read_line(reader, cap: int) -> Optional[bytes]:
+    """One ``\\n``-terminated line (``b""`` at EOF), or None when it is
+    longer than ``cap`` bytes.  A line past the stream's buffer limit
+    makes ``readline`` raise ValueError; that is over any cap too."""
+    try:
+        line = await reader.readline()
+    except ValueError:
+        return None
+    return line if len(line) <= cap else None
 
 
-def make_server(
-    oracle: Union[DistanceOracle, OracleRouter],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    limits: Optional[ServingLimits] = None,
-) -> OracleHTTPServer:
-    """Build (but do not start) the HTTP server for one oracle or a
-    whole router; ``port=0`` picks a free port
-    (``server.server_address`` reports the bound one).  ``limits``
-    bounds the HTTP body size and the drain budget (and, when the
-    router is built here from a bare oracle, its request lifecycle)."""
-    if isinstance(oracle, OracleRouter):
-        router = oracle
-    else:
-        router = OracleRouter()
-        router.mount(oracle.artifact.variant, oracle, limits=limits)
-    server = OracleHTTPServer((host, port), _Handler)
-    server.router = router
-    server.limits = limits or DEFAULT_LIMITS
-    if server.limits.telemetry:
-        _metrics.enable()
-    _register_server_metrics(server.started_at)
-    return server
+async def _read_headers(reader) -> Optional[Dict[str, str]]:
+    """The header block up to its blank line (or EOF), lower-cased
+    keys; None when it breaks :data:`MAX_HEADER_COUNT` or
+    :data:`MAX_HEADER_LINE_BYTES`."""
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADER_COUNT + 1):
+        line = await _read_line(reader, MAX_HEADER_LINE_BYTES)
+        if line is None:
+            return None
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        key, _, val = line.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = val.strip()
+    return None
 
-
-# ----------------------------------------------------------------------
-# Async front end: keep-alive + request coalescing (stdlib asyncio)
-# ----------------------------------------------------------------------
 
 class AsyncOracleServer:
     """An asyncio HTTP/1.1 server that coalesces single queries.
 
-    Same routes, same JSON semantics, same failure mapping as
-    :class:`OracleHTTPServer` — but connections are keep-alive and
-    concurrent single distance queries park in each mounted service's
+    Connections are keep-alive, and concurrent single distance queries
+    park in each mounted service's
     :class:`~repro.oracle.coalesce.QueryCoalescer`, so a burst of N
     singles costs *one* vectorized gather instead of N engine calls.
     Everything else (explicit batches, certificates, paths, info ops)
@@ -1019,7 +784,7 @@ class AsyncOracleServer:
 
     Construct, then ``await start()`` on a running loop (or use
     :func:`start_async_server` for a background-thread harness, or
-    ``serve(frontend="async")`` for the CLI foreground path).
+    :func:`serve` for the CLI foreground path).
     """
 
     def __init__(
@@ -1046,19 +811,19 @@ class AsyncOracleServer:
         self._writers: set = set()
         self._conn_tasks: set = set()
 
-    # -- the surface shared with OracleHTTPServer ----------------------
+    # ------------------------------------------------------------------
     def count_disconnect(self) -> None:
         """Record a client that vanished mid-response."""
         with self._lock:
             self._disconnects += 1
         if _metrics.ENABLED:
-            _instr.CLIENT_DISCONNECTS.labels("async").inc()
+            _instr.CLIENT_DISCONNECTS.labels(_FRONTEND).inc()
 
     def http_stats(self) -> Dict[str, object]:
         """Transport-level counters (merged into ``GET /info``)."""
         with self._lock:
             return {
-                "frontend": "async",
+                "frontend": _FRONTEND,
                 "client_disconnects": self._disconnects,
                 "draining": self.draining,
             }
@@ -1089,7 +854,10 @@ class AsyncOracleServer:
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port,
-            backlog=128,  # match OracleHTTPServer.request_queue_size
+            limit=MAX_STREAM_LINE_BYTES,
+            # Deep accept backlog: load shedding is admission control's
+            # job (observable 503s), not the kernel's.
+            backlog=128,
         )
         self.server_address = self._server.sockets[0].getsockname()[:2]
         return self
@@ -1114,10 +882,10 @@ class AsyncOracleServer:
             return True
         timeout = self.limits.drain_timeout_s if timeout is None else timeout
         end = time.monotonic() + timeout
-        # The listener stays open while draining — like the threaded
-        # front end, late arrivals get a *told* rejection (503 +
-        # Retry-After, ``/healthz`` flips) rather than a connection
-        # refusal; ``_dispatch`` checks ``self.draining``.
+        # The listener stays open while draining — late arrivals get a
+        # *told* rejection (503 + Retry-After, ``/healthz`` flips)
+        # rather than a connection refusal; ``_dispatch`` checks
+        # ``self.draining``.
         # Coalescer close joins its flusher thread — run it (and the
         # admission waits) in the pool so parked waiters' responses can
         # still be written by the loop while we wait.
@@ -1156,7 +924,13 @@ class AsyncOracleServer:
         self._writers.add(writer)
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader, MAX_REQUEST_LINE_BYTES)
+                if line is None:
+                    await self._reject_unread(
+                        reader, writer, 414, "request line exceeds "
+                        f"{MAX_REQUEST_LINE_BYTES} bytes",
+                    )
+                    break
                 if not line:
                     break
                 if line in (b"\r\n", b"\n"):
@@ -1170,13 +944,14 @@ class AsyncOracleServer:
                     )
                     break
                 method, path, _version = parts
-                headers: Dict[str, str] = {}
-                while True:
-                    hline = await reader.readline()
-                    if hline in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, val = hline.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = val.strip()
+                headers = await _read_headers(reader)
+                if headers is None:
+                    await self._reject_unread(
+                        reader, writer, 431, f"more than {MAX_HEADER_COUNT} "
+                        "header lines, or one longer than "
+                        f"{MAX_HEADER_LINE_BYTES} bytes",
+                    )
+                    break
                 stream_matched, stream_name = _split_route(path, "/stream")
                 if method == "POST" and stream_matched:
                     # The connection becomes a long-lived ndjson duplex
@@ -1198,8 +973,6 @@ class AsyncOracleServer:
             asyncio.IncompleteReadError,
         ):
             self.count_disconnect()
-        except (asyncio.LimitOverrunError, ValueError):
-            pass  # oversized or undecodable header line: drop the conn
         finally:
             self._writers.discard(writer)
             self._conn_tasks.discard(task)
@@ -1208,6 +981,34 @@ class AsyncOracleServer:
                 await writer.wait_closed()
             except Exception:  # noqa: BLE001 — already-gone transport
                 pass
+
+    async def _reject_unread(
+        self, reader, writer, status: int, error: str
+    ) -> None:
+        """Answer a request the parser refused, then close gracefully.
+
+        The client may still be sending the rest of it.  Closing with
+        unread input makes the kernel reset the connection, which can
+        destroy the error before the client reads it; so send FIN and
+        discard input until the client closes, for at most
+        :data:`_LINGER_BYTES` and :data:`_LINGER_S`."""
+        _count_http_error(status)
+        await self._write(writer, status, {"error": error}, (), keep=False)
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def _discard() -> None:
+            left = _LINGER_BYTES
+            while left > 0:
+                chunk = await reader.read(min(left, 1 << 16))
+                if not chunk:
+                    return
+                left -= len(chunk)
+
+        try:
+            await asyncio.wait_for(_discard(), _LINGER_S)
+        except asyncio.TimeoutError:
+            pass
 
     async def _serve_stream(self, reader, writer, name: Optional[str]) -> None:
         """``POST /stream[/<name>]``: a long-lived newline-delimited
@@ -1223,18 +1024,12 @@ class AsyncOracleServer:
         under ``Connection: close``, so the connection is spent.
         """
         if self.draining:
-            retry = self.limits.retry_after_s
-            _count_http_error("async", 503)
-            await self._write(writer, 503, {
-                "error": "server is draining for shutdown; retry "
-                "against another instance",
-                "draining": True,
-                "retry_after": retry,
-            }, (("Retry-After", f"{retry:g}"),), keep=False)
+            _count_http_error(503)
+            await self._write(writer, *self._draining_reply(), keep=False)
             return
         svc, status, err = self.router._resolve(name)
         if svc is None:
-            _count_http_error("async", status)
+            _count_http_error(status)
             await self._write(writer, status, err, (), keep=False)
             return
         writer.write(
@@ -1270,21 +1065,32 @@ class AsyncOracleServer:
                 writer.write((json.dumps(body) + "\n").encode())
                 await writer.drain()
 
+        def answered(status: int, body: Dict[str, object]) -> "asyncio.Future":
+            done = self._loop.create_future()
+            done.set_result((status, body))
+            return done
+
         drain_task = asyncio.create_task(_drain_responses())
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_line(reader, MAX_STREAM_LINE_BYTES)
+                if line is None:
+                    _count_http_error(413)
+                    await window.acquire()
+                    await queue.put(answered(413, {
+                        "error": "stream line exceeds "
+                        f"{MAX_STREAM_LINE_BYTES} bytes; stream closed",
+                    }))
+                    break
                 if not line or line in (b"\r\n", b"\n"):
                     break
                 await window.acquire()
                 try:
                     request = json.loads(line)
                 except (ValueError, json.JSONDecodeError) as exc:
-                    done: "asyncio.Future" = self._loop.create_future()
-                    done.set_result(
-                        (400, {"error": f"malformed JSON request: {exc}"})
-                    )
-                    await queue.put(done)
+                    await queue.put(answered(
+                        400, {"error": f"malformed JSON request: {exc}"}
+                    ))
                     continue
                 if self._coalescable(request):
                     fut = asyncio.wrap_future(svc.submit_coalesced(request))
@@ -1296,6 +1102,48 @@ class AsyncOracleServer:
         finally:
             await queue.put(None)
             await drain_task
+
+    def _draining_reply(self) -> Tuple[int, Dict[str, object], Tuple]:
+        """The ``503`` every new request gets while the server drains."""
+        retry = self.limits.retry_after_s
+        return 503, {
+            "error": "server is draining for shutdown; retry "
+            "against another instance",
+            "draining": True,
+            "retry_after": retry,
+        }, (("Retry-After", f"{retry:g}"),)
+
+    def _refuse_head(
+        self, routed: bool, path: str, headers: Dict[str, str]
+    ) -> Optional[Tuple[int, Dict[str, object], Tuple]]:
+        """Why a ``POST`` is refused before its body is read, as
+        ``(status, body, extra_headers)``; None when it may proceed."""
+        if not routed:
+            return 404, {"error": f"unknown path {path!r}"}, ()
+        if self.draining:
+            return self._draining_reply()
+        raw_length = headers.get("content-length")
+        if raw_length is None:
+            return 411, {"error": "Content-Length header is required"}, ()
+        try:
+            length = int(raw_length)
+        except ValueError:
+            return 400, {
+                "error": f"malformed Content-Length {raw_length!r}"
+            }, ()
+        if length <= 0:
+            return 400, {
+                "error": f"Content-Length must be positive, got "
+                f"{length} (send a JSON object body)"
+            }, ()
+        if length > self.limits.max_body_bytes:
+            return 413, {
+                "error": f"request body of {length} bytes exceeds "
+                f"this server's max_body_bytes="
+                f"{self.limits.max_body_bytes}",
+                "max_body_bytes": self.limits.max_body_bytes,
+            }, ()
+        return None
 
     async def _dispatch(
         self, method: str, path: str, headers: Dict[str, str], reader
@@ -1324,50 +1172,16 @@ class AsyncOracleServer:
         )
         id_header = (("X-Request-Id", request_id),)
         matched, name = _split_route(path, "/query")
-        if not matched:
-            _count_http_error("async", 404)
-            return 404, {"error": f"unknown path {path!r}"}, id_header, True
-        if self.draining:
-            retry = self.limits.retry_after_s
-            _count_http_error("async", 503)
-            return 503, {
-                "error": "server is draining for shutdown; retry "
-                "against another instance",
-                "draining": True,
-                "retry_after": retry,
-            }, (("Retry-After", f"{retry:g}"),) + id_header, True
-        raw_length = headers.get("content-length")
-        if raw_length is None:
-            _count_http_error("async", 411)
-            return 411, {
-                "error": "Content-Length header is required"
-            }, id_header, True
-        try:
-            length = int(raw_length)
-        except ValueError:
-            _count_http_error("async", 400)
-            return 400, {
-                "error": f"malformed Content-Length {raw_length!r}"
-            }, id_header, True
-        if length <= 0:
-            _count_http_error("async", 400)
-            return 400, {
-                "error": f"Content-Length must be positive, got "
-                f"{length} (send a JSON object body)"
-            }, id_header, True
-        if length > self.limits.max_body_bytes:
-            _count_http_error("async", 413)
-            return 413, {
-                "error": f"request body of {length} bytes exceeds "
-                f"this server's max_body_bytes="
-                f"{self.limits.max_body_bytes}",
-                "max_body_bytes": self.limits.max_body_bytes,
-            }, id_header, True
-        raw = await reader.readexactly(length)
+        refused = self._refuse_head(matched, path, headers)
+        if refused is not None:
+            status, body, extra = refused
+            _count_http_error(status)
+            return status, body, extra + id_header, True
+        raw = await reader.readexactly(int(headers["content-length"]))
         try:
             request = json.loads(raw)
         except (ValueError, json.JSONDecodeError) as exc:
-            _count_http_error("async", 400)
+            _count_http_error(400)
             return 400, {
                 "error": f"malformed JSON request: {exc}"
             }, id_header, False
@@ -1378,7 +1192,7 @@ class AsyncOracleServer:
         _instr.observe_stage(trace, "parse", time.perf_counter() - start)
         svc, status, err = self.router._resolve(name)
         if svc is None:
-            _count_http_error("async", status)
+            _count_http_error(status)
             return status, err, id_header, False
         if self._coalescable(request):
             status, body = await asyncio.wrap_future(
@@ -1397,7 +1211,7 @@ class AsyncOracleServer:
                 ("Retry-After", f"{float(body['retry_after']):g}"),
             ) + extra
         _log_request(
-            "async", svc.name, status, time.perf_counter() - start, trace
+            svc.name, status, time.perf_counter() - start, trace
         )
         return status, body, extra, False
 
@@ -1446,10 +1260,9 @@ class AsyncOracleServer:
 
 class AsyncServerHandle:
     """An :class:`AsyncOracleServer` hosted on a background event-loop
-    thread, exposing the threaded server's surface
-    (``server_address``, ``draining``, ``http_stats``,
-    ``drain_and_shutdown``) so tests and benchmarks treat the two
-    front ends interchangeably."""
+    thread, driven synchronously (``server_address``,
+    ``drain_and_shutdown``) by tests, benchmarks and the load
+    harness."""
 
     def __init__(self, server: AsyncOracleServer, loop, thread):
         self.server = server
@@ -1461,19 +1274,8 @@ class AsyncServerHandle:
         return self.server.router
 
     @property
-    def limits(self) -> ServingLimits:
-        return self.server.limits
-
-    @property
     def server_address(self) -> Tuple[str, int]:
         return self.server.server_address
-
-    @property
-    def draining(self) -> bool:
-        return self.server.draining
-
-    def http_stats(self) -> Dict[str, object]:
-        return self.server.http_stats()
 
     def drain_and_shutdown(self, timeout: Optional[float] = None) -> bool:
         """Drain on the loop, then tear everything down: worker pool,
@@ -1484,20 +1286,13 @@ class AsyncServerHandle:
         drained = asyncio.run_coroutine_threadsafe(
             self.server.drain(timeout), self._loop
         ).result()
-        self.close()
-        return drained
-
-    def close(self) -> None:
-        """Stop the loop thread and the worker pool (idempotent)."""
-        if self._thread is None:
-            return
-        if self.server._executor is not None:
-            self.server._executor.shutdown(wait=True)
+        self.server._executor.shutdown(wait=True)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join()
         self._loop.close()
         self._thread = None
         self.server.router.close()
+        return drained
 
 
 def start_async_server(
@@ -1506,9 +1301,10 @@ def start_async_server(
     port: int = 0,
     limits: Optional[ServingLimits] = None,
 ) -> AsyncServerHandle:
-    """Start the async front end on a background event-loop thread and
+    """Start the HTTP front end on a background event-loop thread and
     return its :class:`AsyncServerHandle` (``port=0`` picks a free
-    port).  The foreground CLI path is ``serve(frontend="async")``."""
+    port) — the one embedding entry point.  The foreground CLI path is
+    :func:`serve`."""
     if isinstance(oracle, OracleRouter):
         router = oracle
     else:
@@ -1525,8 +1321,8 @@ def start_async_server(
 
 
 def _announce(router: OracleRouter, base: str) -> None:
-    """The startup lines both front ends print (smoke tests parse the
-    ``healthz`` line for the bound address — keep them identical)."""
+    """The startup lines (smoke tests parse the ``healthz`` line for
+    the bound address — keep its shape)."""
     for name in router.names:
         oracle = router.service(name).oracle
         print(
@@ -1538,14 +1334,33 @@ def _announce(router: OracleRouter, base: str) -> None:
     print(f"GET {base}/info (merged), GET {base}/healthz", flush=True)
 
 
-def _serve_async(
-    router: OracleRouter,
-    host: str,
-    port: int,
-    limits: Optional[ServingLimits],
-    install_signal_handlers: bool,
+def serve(
+    artifacts: Union[str, Sequence[Tuple]],
+    host: str = "127.0.0.1",
+    port: int = 8080,
+    mmap: bool = False,
+    cache_size: Optional[int] = None,
+    limits: Optional[ServingLimits] = None,
+    install_signal_handlers: bool = True,
 ) -> None:
-    """The foreground body of ``serve(frontend="async")``."""
+    """Load one or many artifacts and serve them forever (the
+    ``repro serve`` body).
+
+    ``artifacts`` is a single artifact-directory path, or a sequence of
+    ``(name, path)`` / ``(name, path, options)`` tuples (``name=None``
+    defaults to the manifest variant) for multi-artifact routing with
+    per-mount overrides.
+
+    SIGTERM/SIGINT (when handlers can be installed — main thread only)
+    triggers the graceful drain: ``/healthz`` flips to draining, new
+    queries are shed with ``503``, in-flight requests finish up to
+    ``limits.drain_timeout_s``, and the function returns (exit 0).
+    """
+    if isinstance(artifacts, str):
+        artifacts = [(None, artifacts)]
+    router = OracleRouter.load(
+        artifacts, mmap=mmap, cache_size=cache_size, limits=limits
+    )
 
     async def _run() -> None:
         server = AsyncOracleServer(router, host=host, port=port, limits=limits)
@@ -1570,73 +1385,3 @@ def _serve_async(
         return
     # wait_stopped only returns after a completed drain.
     print("drained in-flight requests; shutting down")
-
-
-def serve(
-    artifacts: Union[str, Sequence[Tuple]],
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    mmap: bool = False,
-    cache_size: Optional[int] = None,
-    limits: Optional[ServingLimits] = None,
-    install_signal_handlers: bool = True,
-    frontend: str = "threaded",
-) -> None:
-    """Load one or many artifacts and serve them forever (the
-    ``repro serve`` body).
-
-    ``artifacts`` is a single artifact-directory path, or a sequence of
-    ``(name, path)`` / ``(name, path, options)`` tuples (``name=None``
-    defaults to the manifest variant) for multi-artifact routing with
-    per-mount overrides.
-
-    ``frontend`` selects the transport: ``"threaded"`` (default, one
-    thread per connection) or ``"async"`` (keep-alive + request
-    coalescing; see :class:`AsyncOracleServer`).
-
-    SIGTERM/SIGINT (when handlers can be installed — main thread only)
-    triggers the graceful drain: ``/healthz`` flips to draining, new
-    queries are shed with ``503``, in-flight requests finish up to
-    ``limits.drain_timeout_s``, and the function returns (exit 0).
-    """
-    if frontend not in FRONTENDS:
-        raise ValueError(
-            f"unknown frontend {frontend!r}; expected one of {FRONTENDS}"
-        )
-    if isinstance(artifacts, str):
-        artifacts = [(None, artifacts)]
-    router = OracleRouter.load(
-        artifacts, mmap=mmap, cache_size=cache_size, limits=limits
-    )
-    if frontend == "async":
-        _serve_async(router, host, port, limits, install_signal_handlers)
-        return
-    server = make_server(router, host=host, port=port, limits=limits)
-    bound_host, bound_port = server.server_address[:2]
-    _announce(router, f"http://{bound_host}:{bound_port}")
-
-    if (
-        install_signal_handlers
-        and threading.current_thread() is threading.main_thread()
-    ):
-        def _graceful(signum, frame):
-            # shutdown() deadlocks if called from the serve_forever
-            # thread, and a signal handler interrupts exactly that
-            # thread — hand the drain to a helper.
-            threading.Thread(
-                target=server.drain_and_shutdown,
-                name="oracle-drain",
-                daemon=True,
-            ).start()
-
-        signal.signal(signal.SIGTERM, _graceful)
-        signal.signal(signal.SIGINT, _graceful)
-
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    if server.draining:
-        print("drained in-flight requests; shutting down")

@@ -70,8 +70,9 @@ __all__ = [
     "observe_stage",
 ]
 
-#: Coalesced-batch sizes are powers of two up to the default
-#: ``coalesce_max`` (512); a fuller bucket means the size trigger fired.
+#: Coalesced-batch sizes are powers of two up to 512.  A batch never
+#: exceeds its mount's ``max_inflight`` (default 64): every parked query
+#: holds one admission slot until its flush answers it.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
 SERVER_INFO = REGISTRY.gauge(
@@ -144,8 +145,9 @@ SHARD_UP = REGISTRY.gauge(
 )
 HTTP_ERRORS = REGISTRY.counter(
     "repro_http_errors_total",
-    "Requests rejected before reaching a mounted service (bad route, "
-    "bad body, unknown artifact, draining), by front end and status.",
+    "Requests rejected before reaching a mounted service (oversized "
+    "request line or headers, bad route, bad body, unknown artifact, "
+    "draining), by front end and status.",
     ("frontend", "status"),
 )
 CLIENT_DISCONNECTS = REGISTRY.counter(

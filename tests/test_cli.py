@@ -38,6 +38,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["apsp", "--family", "nope"])
 
+    def test_serve_frontend_accepts_only_async(self):
+        args = build_parser().parse_args(["serve", "--artifact", "a"])
+        assert args.frontend == "async"
+        build_parser().parse_args(
+            ["serve", "--artifact", "a", "--frontend", "async"]
+        )
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(
+                ["serve", "--artifact", "a", "--frontend", "threaded"]
+            )
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", ["--coalesce-window-ms", "--coalesce-max"]
+    )
+    def test_coalescer_knobs_are_gone(self, flag):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["serve", "--artifact", "a", flag, "1"])
+        assert err.value.code == 2
+
 
 class TestMain:
     def test_families(self, capsys):

@@ -1,14 +1,16 @@
-"""The request coalescer and the async serving front end (ISSUE 7).
+"""The request coalescer and the HTTP serving front end.
 
-Unit level: :class:`QueryCoalescer` flush triggers (window expiry, size
-threshold, drain), per-request deadline handling inside a parked batch,
-and fault-injected flush failures mapping to *per-request* errors.
-HTTP level: the asyncio front end's keep-alive connections, coalesced
-``/query`` singles showing up as multi-query batches in ``/info``,
-explicit-batch bypass, and the keep-alive client's transparent
-reconnect.  The frontend-agnostic failure-semantics contract (503/504/
-413/400, drain, disconnect accounting) is exercised for *both* front
-ends by the parametrized chaos suite in ``test_resilience.py``.
+Unit level: :class:`QueryCoalescer`'s flush rule (queries parked while
+a flush runs form the next batch; a lone query flushes at once; close
+drains), per-request deadline handling inside a parked batch, and
+fault-injected flush failures mapping to *per-request* errors.  A
+``coalesce.flush`` delay stalls one flush so batching is deterministic.
+HTTP level: keep-alive connections, coalesced ``/query`` singles
+showing up as multi-query batches in ``/info``, explicit-batch bypass,
+served answers bit-identical to in-process ``query_batch``, and the
+keep-alive client's transparent reconnect.  The failure-semantics
+contract (503/504/413/400, drain, disconnect accounting) is exercised
+by the chaos suite in ``test_resilience.py``.
 """
 
 import json
@@ -27,11 +29,14 @@ from repro.oracle import (
     FAULTS,
     OracleClient,
     build_oracle,
-    make_server,
     start_async_server,
 )
 from repro.oracle.coalesce import CoalescerClosed, QueryCoalescer
-from repro.oracle.resilience import Deadline, DeadlineExceeded
+from repro.oracle.resilience import (
+    AdmissionController,
+    Deadline,
+    DeadlineExceeded,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -67,52 +72,70 @@ def engine(artifact):
 # Unit: flush triggers
 # ----------------------------------------------------------------------
 
+def _stall_first_flush(co, seconds=0.3):
+    """Park one query and wait until the flusher has taken it into a
+    ``coalesce.flush`` delay: whatever is submitted next parks behind
+    the stalled flush, so batching no longer depends on timing."""
+    FAULTS.arm("coalesce.flush", "delay", seconds=seconds, times=1)
+    first = co.submit(0, 1)
+    deadline = time.monotonic() + 5
+    while co.stats()["batches"] < 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert co.stats()["batches"] == 1
+    return first
+
+
 class TestCoalescerUnit:
-    def test_window_flush_batches_concurrent_singles(self, engine, exact):
-        co = QueryCoalescer(engine, window_ms=25.0, max_batch=512)
+    def test_queries_parked_during_a_flush_form_one_batch(
+        self, engine, exact
+    ):
+        co = QueryCoalescer(engine)
         try:
+            first = _stall_first_flush(co)
             futures = [co.submit(0, v) for v in range(1, 9)]
+            assert first.result(timeout=5) == float(exact[0, 1])
             values = [f.result(timeout=5) for f in futures]
             assert values == [float(exact[0, v]) for v in range(1, 9)]
             stats = co.stats()
-            # All eight parked inside one 25 ms window: one gather.
-            assert stats["batches"] == 1
-            assert stats["coalesced"] == 8
+            # All eight parked behind the stalled flush: one next gather.
+            assert stats["batches"] == 2
+            assert stats["coalesced"] == 9
             assert stats["largest_batch"] == 8
-            assert stats["flushes"]["window"] == 1
-            assert stats["flushes"]["size"] == 0
+            assert stats["flushes"] == {"ready": 2, "drain": 0}
         finally:
             co.close()
 
-    def test_size_flush_fires_before_window(self, engine):
-        co = QueryCoalescer(engine, window_ms=10_000.0, max_batch=4)
+    def test_lone_query_flushes_at_once(self, engine, exact):
+        co = QueryCoalescer(engine)
         try:
-            start = time.monotonic()
-            futures = [co.submit(0, v) for v in range(1, 5)]
-            for f in futures:
-                f.result(timeout=5)
-            # A 10 s window cannot have expired: the size trigger fired.
-            assert time.monotonic() - start < 5.0
-            assert co.stats()["flushes"]["size"] >= 1
+            assert co.submit(0, 3).result(timeout=5) == float(exact[0, 3])
+            stats = co.stats()
+            assert stats["batches"] == 1 and stats["largest_batch"] == 1
+            assert stats["flushes"]["ready"] == 1
         finally:
             co.close()
 
     def test_drain_flushes_parked_queries(self, engine, exact):
-        co = QueryCoalescer(engine, window_ms=60_000.0, max_batch=512)
-        f = co.submit(0, 1)
-        co.close()  # parked query is answered, not abandoned
-        assert f.result(timeout=5) == float(exact[0, 1])
-        assert co.stats()["flushes"]["drain"] == 1
+        co = QueryCoalescer(engine)
+        first = _stall_first_flush(co)
+        futures = [co.submit(0, v) for v in range(2, 6)]
+        co.close()  # parked queries are answered, not abandoned
+        assert first.result(timeout=5) == float(exact[0, 1])
+        assert [f.result(timeout=5) for f in futures] == [
+            float(exact[0, v]) for v in range(2, 6)
+        ]
+        assert co.stats()["flushes"] == {"ready": 1, "drain": 1}
 
     def test_submit_after_close_raises(self, engine):
-        co = QueryCoalescer(engine, window_ms=1.0, max_batch=4)
+        co = QueryCoalescer(engine)
         co.close()
         with pytest.raises(CoalescerClosed):
             co.submit(0, 1)
 
     def test_expired_deadline_rejected_individually(self, engine, exact):
-        co = QueryCoalescer(engine, window_ms=25.0, max_batch=512)
+        co = QueryCoalescer(engine)
         try:
+            first = _stall_first_flush(co)
             dead = Deadline(0.0)
             time.sleep(0.005)
             doomed = co.submit(0, 1, deadline=dead)
@@ -122,14 +145,17 @@ class TestCoalescerUnit:
             with pytest.raises(DeadlineExceeded) as err:
                 doomed.result(timeout=5)
             assert err.value.progress == {"completed": 0, "total": 1}
+            assert first.result(timeout=5) == float(exact[0, 1])
         finally:
             co.close()
 
     def test_flush_fault_fails_each_parked_request(self, engine):
-        co = QueryCoalescer(engine, window_ms=25.0, max_batch=512)
+        co = QueryCoalescer(engine)
         try:
+            first = _stall_first_flush(co)
             FAULTS.arm("coalesce.flush", "error", times=1)
             futures = [co.submit(0, v) for v in range(1, 4)]
+            first.result(timeout=5)
             for f in futures:
                 with pytest.raises(Exception) as err:
                     f.result(timeout=5)
@@ -141,17 +167,19 @@ class TestCoalescerUnit:
 
     def test_close_idempotent_and_thread_exits(self, engine):
         baseline = threading.active_count()
-        co = QueryCoalescer(engine, window_ms=1.0, max_batch=4)
+        co = QueryCoalescer(engine)
         assert threading.active_count() == baseline + 1
         co.close()
         co.close()
         assert threading.active_count() == baseline
 
     def test_rejects_bad_parameters(self, engine):
+        # No timer or size knob is left to misconfigure: a batch is
+        # bounded by its mount's admission slots, which must exist.
+        with pytest.raises(TypeError):
+            QueryCoalescer(engine, window_ms=1.0)
         with pytest.raises(ValueError):
-            QueryCoalescer(engine, window_ms=-1.0, max_batch=4)
-        with pytest.raises(ValueError):
-            QueryCoalescer(engine, window_ms=1.0, max_batch=0)
+            AdmissionController(0)
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +188,7 @@ class TestCoalescerUnit:
 
 @pytest.fixture
 def async_server(artifact):
-    import dataclasses
-
-    limits = dataclasses.replace(
-        oracle.DEFAULT_LIMITS, coalesce_window_ms=5.0, coalesce_max=256
-    )
-    handle = start_async_server(DistanceOracle(artifact), limits=limits)
+    handle = start_async_server(DistanceOracle(artifact))
     host, port = handle.server_address[:2]
     try:
         yield handle, f"http://{host}:{port}"
@@ -179,6 +202,9 @@ class TestAsyncFrontend:
     ):
         handle, base = async_server
         out = {}
+        # The first flush stalls, so the singles that arrive meanwhile
+        # park together whatever the scheduling.
+        FAULTS.arm("coalesce.flush", "delay", seconds=0.5, times=1)
 
         def fire(v):
             with OracleClient(base) as c:
@@ -227,26 +253,17 @@ class TestAsyncFrontend:
             after = handle.router.services()[0].coalescer.stats()["coalesced"]
         assert after == before  # the batch never parked
 
-    def test_results_bit_identical_across_frontends(self, artifact, exact):
+    def test_results_bit_identical_to_in_process_query_batch(
+        self, artifact, exact
+    ):
         rng = np.random.default_rng(11)
         n = artifact.n
         queries = [(int(rng.integers(n)), int(rng.integers(n)))
                    for _ in range(60)]
-
-        threaded = make_server(DistanceOracle(artifact, cache_size=0))
-        t = threading.Thread(target=threaded.serve_forever, daemon=True)
-        t.start()
-        base_t = "http://%s:%s" % threaded.server_address[:2]
-        try:
-            with OracleClient(base_t) as c:
-                got_threaded = [
-                    c.query({"u": u, "v": v})[1]["distance"]
-                    for u, v in queries
-                ]
-        finally:
-            threaded.shutdown()
-            threaded.server_close()
-            t.join(timeout=5)
+        values = DistanceOracle(artifact, cache_size=0).query_batch(
+            [u for u, _ in queries], [v for _, v in queries]
+        )
+        expected = [float(x) if np.isfinite(x) else None for x in values]
 
         handle = start_async_server(DistanceOracle(artifact, cache_size=0))
         base_a = "http://%s:%s" % handle.server_address[:2]
@@ -258,7 +275,7 @@ class TestAsyncFrontend:
                 ]
         finally:
             handle.drain_and_shutdown()
-        assert got_threaded == got_async
+        assert got_async == expected
 
     def test_out_of_range_vertex_is_400_not_batch_poison(
         self, async_server, exact

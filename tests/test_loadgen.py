@@ -16,9 +16,10 @@ Four verification layers, matching the satellite checklist:
   ``/info`` admission counters: report 200s == admitted, report 503s ==
   rejected, and every issued request accounted for (nothing silently
   dropped at the transport layer).
-* **Cross-frontend fidelity** — a seeded ``zipf_hotspot`` run returns
-  bit-identical per-query answers on the threaded and async front
-  ends, and the async run's ``/info`` shows coalesced batches > 0.
+* **Engine fidelity** — a seeded ``zipf_hotspot`` run's served answers
+  are bit-identical, query by query, to the same requests answered
+  in-process (``identical_to_engine``), and ``/info`` shows coalesced
+  batches > 0.
 
 Plus the CLI surface: ``repro loadgen --quick`` against a prebuilt
 artifact writes a well-formed JSON report.
@@ -306,7 +307,8 @@ class TestProfileSchema:
 # ----------------------------------------------------------------------
 
 class TestChaosAccounting:
-    @pytest.mark.parametrize("frontend", oracle.FRONTENDS)
+    # The ``async`` param only names the front end in the test id.
+    @pytest.mark.parametrize("frontend", ["async"])
     def test_burst_report_matches_admission_counters(
         self, frontend, engine, monkeypatch
     ):
@@ -320,7 +322,7 @@ class TestChaosAccounting:
         FAULTS.arm_from_env()
         limits = dataclasses.replace(oracle.DEFAULT_LIMITS, max_inflight=2)
         report, outcomes = loadgen.run_profile(
-            "burst", frontend, [("exact", engine)],
+            "burst", [("exact", engine)],
             requests=48, seed=21, limits=limits,
             params={"burst_size": 16, "gap_ms": 300.0},
         )
@@ -337,34 +339,49 @@ class TestChaosAccounting:
 
 
 # ----------------------------------------------------------------------
-# Satellite 4: cross-frontend fidelity
+# Satellite 4: served answers vs the in-process engine
 # ----------------------------------------------------------------------
 
 class TestCrossFrontendFidelity:
+    """Fidelity across the front end: served answers vs the same
+    requests answered in-process."""
+
     def test_zipf_answers_bit_identical_and_async_coalesces(self, engine):
         report = loadgen.run(
-            "zipf_hotspot", frontends=oracle.FRONTENDS,
-            oracles=[("exact", engine)],
+            "zipf_hotspot", oracles=[("exact", engine)],
             requests=160, concurrency=8, seed=33,
         )
-        assert report["identical_across_frontends"] is True
-        threaded = report["frontends"]["threaded"]
-        asynchronous = report["frontends"]["async"]
-        assert threaded["answers_digest"] == asynchronous["answers_digest"]
-        for r in (threaded, asynchronous):
-            assert r["failures"]["total"] == 0
-            assert r["qps"] > 0
-            lat = r["latency_ms"]
-            assert lat["p50"] is not None and lat["p50"] <= lat["p99"]
-        coalescing = asynchronous["server"]["coalescing"]
+        assert report["identical_to_engine"] is True
+        assert report["failures"]["total"] == 0
+        assert report["qps"] > 0
+        lat = report["latency_ms"]
+        assert lat["p50"] is not None and lat["p50"] <= lat["p99"]
+        coalescing = report["server"]["coalescing"]
         assert coalescing["batches"] > 0
         assert coalescing["coalesced"] >= coalescing["batches"]
-        assert "coalescing" not in threaded["server"]
+
+    def test_engine_digest_tells_engines_apart(self, engine, graph):
+        """The reference digest is the engine's answers, not a constant:
+        a different oracle over the same graph digests differently."""
+        other = DistanceOracle(
+            build_oracle(graph, variant="tz", rng=np.random.default_rng(1))
+        )
+        reqs = loadgen.get_profile("uniform_random").build_requests(
+            ProfileContext(tenants=(("exact", engine.n),), requests=80,
+                           seed=5)
+        )
+        same = loadgen.engine_answers_digest([("exact", engine)], reqs)
+        assert same == loadgen.engine_answers_digest(
+            [("exact", engine)], reqs
+        )
+        assert same != loadgen.engine_answers_digest(
+            [("exact", other)], reqs
+        )
 
     def test_seeded_runs_replay_identically_on_one_frontend(self, engine):
         reports = [
             loadgen.run_profile(
-                "uniform_random", "threaded", [("exact", engine)],
+                "uniform_random", [("exact", engine)],
                 requests=60, concurrency=4, seed=9,
             )[0]
             for _ in range(2)
@@ -397,13 +414,21 @@ class TestLoadgenCLI:
         printed = capsys.readouterr().out
         assert "p50_ms" in printed and "answers identical" in printed
         report = json.loads(out.read_text())
-        assert set(report["frontends"]) == set(oracle.FRONTENDS)
-        assert report["identical_across_frontends"] is True
-        for r in report["frontends"].values():
-            assert r["failures"]["total"] == 0
-            assert r["latency_ms"]["p99"] is not None
-            assert r["qps"] > 0
-            assert r["tenants"] == ["small"]
+        assert report["identical_to_engine"] is True
+        assert report["failures"]["total"] == 0
+        assert report["latency_ms"]["p99"] is not None
+        assert report["qps"] > 0
+        assert [t["name"] for t in report["tenants"]] == ["small"]
+
+    def test_frontend_flag_is_gone(self, artifact_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([
+                "loadgen", "--profile", "zipf_hotspot", "--quick",
+                "--artifact", f"small={artifact_dir}", "--frontend", "both",
+                "--out", str(tmp_path / "r.json"),
+            ])
+        assert err.value.code == 2
+        assert "--frontend" in capsys.readouterr().err
 
     def test_bad_profile_param_exits_2(self, artifact_dir, tmp_path,
                                        capsys):

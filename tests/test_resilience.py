@@ -49,12 +49,13 @@ from repro.oracle import (
     ServingLimits,
     build_oracle,
     load_artifact,
-    make_server,
     save_artifact,
     start_async_server,
 )
+from repro.oracle import service
 from repro.oracle.faults import FaultInjector
 from repro.oracle.sharded import save_sharded_artifact
+from repro.telemetry import parse_exposition
 
 
 @pytest.fixture(autouse=True)
@@ -487,10 +488,8 @@ def _post(base, body, path="/query", timeout=5):
 
 
 class TestHTTPChaos:
-    # Every HTTP-level chaos scenario runs against BOTH front ends: the
-    # typed-error / drain / disconnect contracts are frontend-agnostic
-    # (ISSUE 7 acceptance).
-    @pytest.fixture(params=["threaded", "async"])
+    # The ``async`` param only names the front end in the test ids.
+    @pytest.fixture(params=["async"])
     def server(self, request, bunches_artifact):
         limits = dataclasses.replace(
             oracle.DEFAULT_LIMITS,
@@ -499,24 +498,12 @@ class TestHTTPChaos:
         )
         router = OracleRouter()
         router.mount("tz", DistanceOracle(bunches_artifact), limits=limits)
-        if request.param == "async":
-            handle = start_async_server(router, port=0, limits=limits)
-            host, port = handle.server_address[:2]
-            try:
-                yield handle, f"http://{host}:{port}"
-            finally:
-                handle.drain_and_shutdown()
-            return
-        server = make_server(router, port=0, limits=limits)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
+        handle = start_async_server(router, port=0, limits=limits)
+        host, port = handle.server_address[:2]
         try:
-            yield server, f"http://{host}:{port}"
+            yield handle, f"http://{host}:{port}"
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            handle.drain_and_shutdown()
 
     def test_typed_errors_only_and_threads_recover(self, server):
         _, base = server
@@ -566,6 +553,79 @@ class TestHTTPChaos:
             sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\n\r\n")
             reply = sock.recv(512).decode()
         assert "411" in reply.splitlines()[0]
+
+    @staticmethod
+    def _raw_exchange(srv, data: bytes) -> bytes:
+        """Send raw bytes, read the reply until the server closes."""
+        host, port = srv.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(data)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    @staticmethod
+    def _scrape(base):
+        with urllib.request.urlopen(base + "/metrics", timeout=5) as resp:
+            return parse_exposition(resp.read().decode())
+
+    def _assert_typed_rejection(self, srv, base, data: bytes, status: int):
+        before = self._scrape(base)
+        reply = self._raw_exchange(srv, data)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+        delta = self._scrape(base).delta(before)
+        assert delta.total(
+            "repro_http_errors_total", status=str(status)
+        ) == 1.0
+        assert delta.total("repro_client_disconnects_total") == 0.0
+        # The rejection closed one connection; the server still answers.
+        assert _post(base, {"u": 0, "v": 1})[0] == 200
+
+    @pytest.mark.parametrize(
+        "length", [service.MAX_REQUEST_LINE_BYTES + 1, 100_000]
+    )
+    def test_long_request_line_is_414(self, server, length):
+        srv, base = server
+        path = b"/" + b"a" * length
+        self._assert_typed_rejection(
+            srv, base, b"GET " + path + b" HTTP/1.1\r\nHost: t\r\n\r\n", 414
+        )
+
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            [b"X-Pad-%d: 1" % i for i in range(service.MAX_HEADER_COUNT + 1)],
+            [b"X-Pad-%d: 1" % i for i in range(10_000)],
+            [b"X-Big: " + b"b" * service.MAX_HEADER_LINE_BYTES],
+        ],
+        ids=["count-over-cap", "count-10000", "line-over-cap"],
+    )
+    def test_excess_headers_are_431(self, server, headers):
+        srv, base = server
+        block = b"".join(h + b"\r\n" for h in headers)
+        self._assert_typed_rejection(
+            srv, base, b"GET /healthz HTTP/1.1\r\n" + block + b"\r\n", 431
+        )
+
+    def test_headers_at_the_caps_are_accepted(self, server):
+        srv, base = server
+        pad = service.MAX_HEADER_LINE_BYTES - len(b"X-Pad-0: \r\n")
+        headers = b"".join(
+            b"X-Pad-%d: " % i + b"p" * (pad - len(str(i)) + 1) + b"\r\n"
+            for i in range(service.MAX_HEADER_COUNT - 1)
+        )
+        reply = self._raw_exchange(
+            srv,
+            b"GET /healthz HTTP/1.1\r\n" + headers
+            + b"Connection: close\r\n\r\n",
+        )
+        assert reply.split(b"\r\n")[0].split()[1] == b"200"
 
     @pytest.mark.parametrize("header", ["-5", "0", "banana"])
     def test_bad_content_length_is_400(self, server, header):
@@ -680,7 +740,8 @@ class TestMetricsAccounting:
     that reached the mounted service appears in ``repro_requests_total``
     once, under the status the client saw, and nothing else."""
 
-    @pytest.fixture(params=["threaded", "async"])
+    # The ``async`` param only names the front end in the test ids.
+    @pytest.fixture(params=["async"])
     def server(self, request, bunches_artifact):
         limits = dataclasses.replace(
             oracle.DEFAULT_LIMITS,
@@ -688,23 +749,12 @@ class TestMetricsAccounting:
         )
         router = OracleRouter()
         router.mount("tz", DistanceOracle(bunches_artifact), limits=limits)
-        if request.param == "async":
-            handle = start_async_server(router, port=0, limits=limits)
-            base = "http://%s:%s" % handle.server_address[:2]
-            try:
-                yield request.param, base
-            finally:
-                handle.drain_and_shutdown()
-            return
-        server = make_server(router, port=0, limits=limits)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(router, port=0, limits=limits)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             yield request.param, base
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.drain_and_shutdown()
 
     def _scrape(self, base):
         from repro.telemetry import parse_exposition
@@ -768,7 +818,7 @@ class TestMetricsAccounting:
 # ----------------------------------------------------------------------
 
 class TestSigtermDrain:
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    @pytest.mark.parametrize("frontend", ["async"])
     def test_sigterm_drains_inflight_and_exits_zero(
         self, matrix_artifact, tmp_path, frontend
     ):

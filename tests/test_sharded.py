@@ -2,7 +2,7 @@
 bit-identity, the /stream channel, supervision, and concurrent readers.
 
 The contract under test everywhere: a sharded oracle — any shard count,
-pool or serial, either front end — answers **bit-identically** to the
+pool or serial, in-process or over HTTP — answers **bit-identically** to the
 single-process :class:`~repro.oracle.DistanceOracle` over the same
 artifact (DESIGN.md §10).
 """
@@ -34,7 +34,6 @@ from repro.oracle import (
     is_sharded_artifact,
     load_artifact,
     load_sharded_artifact,
-    make_server,
     save_artifact,
     save_sharded_artifact,
     start_async_server,
@@ -344,7 +343,7 @@ class TestShardedBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# Front ends over sharded mounts
+# The HTTP front end over sharded mounts
 # ----------------------------------------------------------------------
 
 class TestFrontends:
@@ -372,24 +371,23 @@ class TestFrontends:
         finally:
             handle.drain_and_shutdown()
 
-    def test_threaded_frontend_digest_equality(self, router_pair, art_u):
+    def test_http_answers_equal_in_process_query_batch(
+        self, router_pair, art_u
+    ):
+        body = self._batch(art_u.n)
+        values = DistanceOracle(art_u).query_batch(body["us"], body["vs"])
+        want = [float(x) if np.isfinite(x) else None for x in values]
         router = OracleRouter.load(router_pair)
-        server = make_server(router)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(router)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             with OracleClient(base) as client:
-                body = self._batch(art_u.n)
                 st_s, out_s = client.query(body, name="s")
                 st_p, out_p = client.query(body, name="p")
             assert st_s == st_p == 200
-            assert out_s["distances"] == out_p["distances"]
+            assert out_s["distances"] == out_p["distances"] == want
         finally:
-            server.shutdown()
-            server.server_close()
-            router.close()
-            thread.join(timeout=5)
+            handle.drain_and_shutdown()
 
     def test_mount_option_shards_partitions_plain(self, router_pair):
         _, plain = router_pair[1]
@@ -473,22 +471,6 @@ class TestStreamChannel:
         assert lines[1]["status"] == 400
         assert lines[2]["status"] == 200 and "distances" in lines[2]
 
-    def test_threaded_stream_is_501(self, sharded_dir):
-        router = OracleRouter.load([("tz", sharded_dir)])
-        server = make_server(router)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
-        try:
-            with OracleClient(base) as client:
-                out = client.stream_queries([{"u": 1, "v": 2}], name="tz")
-            assert out[0]["status"] == 501
-        finally:
-            server.shutdown()
-            server.server_close()
-            router.close()
-            thread.join(timeout=5)
-
 
 # ----------------------------------------------------------------------
 # Supervision: worker death follows the §7 ladder
@@ -540,7 +522,7 @@ class TestSupervision:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self"), reason="needs /proc"
     )
-    @pytest.mark.parametrize("frontend", ["threaded", "async"])
+    @pytest.mark.parametrize("frontend", ["async"])
     def test_served_kill_twice_degrades_and_keeps_serving(
         self, sharded_dir, frontend
     ):
@@ -693,7 +675,7 @@ class TestLoadgenShards:
         oracles = harness.load_mounts([("tz", sharded_dir)])
         try:
             report, outcomes = harness.run_profile(
-                "zipf_hotspot", "async", oracles,
+                "zipf_hotspot", oracles,
                 requests=120, concurrency=8, seed=4,
             )
         finally:

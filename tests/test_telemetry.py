@@ -13,7 +13,6 @@ what a client observed.
 import dataclasses
 import json
 import logging
-import threading
 import time
 import tracemalloc
 import urllib.error
@@ -34,7 +33,6 @@ from repro.oracle import (
     OracleRouter,
     OracleService,
     build_oracle,
-    make_server,
     start_async_server,
 )
 from repro.telemetry import (
@@ -399,32 +397,22 @@ def _scrape(base):
 
 
 class TestHTTPTelemetry:
-    @pytest.fixture(params=["threaded", "async"])
+    # The ``async`` param names the front end in the test ids and is
+    # the ``frontend`` label value the transport counters carry.
+    @pytest.fixture(params=["async"])
     def server(self, request, exact_artifact):
         limits = dataclasses.replace(
             oracle.DEFAULT_LIMITS,
             max_inflight=8, retry_after_s=0.1, drain_timeout_s=5.0,
-            coalesce_window_ms=1.0,
         )
         router = OracleRouter()
         router.mount("exact", DistanceOracle(exact_artifact), limits=limits)
-        if request.param == "async":
-            handle = start_async_server(router, port=0, limits=limits)
-            base = "http://%s:%s" % handle.server_address[:2]
-            try:
-                yield request.param, base
-            finally:
-                handle.drain_and_shutdown()
-            return
-        server = make_server(router, port=0, limits=limits)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(router, port=0, limits=limits)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             yield request.param, base
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.drain_and_shutdown()
 
     def test_metrics_endpoint_parses_and_counts(self, server):
         frontend, base = server
@@ -492,8 +480,7 @@ class TestHTTPTelemetry:
         spans = trace["spans_ms"]
         assert "parse" in spans and "admission" in spans
         assert "gather" in spans
-        if frontend == "async":
-            assert "park" in spans
+        assert "park" in spans
         # Non-debug requests stay clean.
         status, body, _ = _post(base, {"u": 0, "v": 3}, path="/query/exact")
         assert "trace" not in body
@@ -535,35 +522,28 @@ class TestHTTPTelemetry:
 
 class TestClientRequestId:
     def test_last_id_lands_in_transport_error_messages(self, exact_artifact):
-        server = make_server(DistanceOracle(exact_artifact), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(DistanceOracle(exact_artifact), port=0)
+        base = "http://%s:%s" % handle.server_address[:2]
         client = OracleClient(base, max_attempts=2, backoff_s=0.01)
         status, _ = client.query({"u": 0, "v": 1})
         assert status == 200
         rid = client.last_request_id
         assert rid is not None
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        handle.drain_and_shutdown()
         with pytest.raises(OracleClientError) as err:
             client.query({"u": 0, "v": 2})
         assert f"(last X-Request-Id: {rid})" in str(err.value)
 
     def test_metrics_text_scrapes(self, exact_artifact):
-        server = make_server(DistanceOracle(exact_artifact), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = "http://%s:%s" % server.server_address[:2]
+        handle = start_async_server(DistanceOracle(exact_artifact), port=0)
+        base = "http://%s:%s" % handle.server_address[:2]
         try:
             with OracleClient(base) as client:
                 client.query({"u": 0, "v": 1})
                 snap = parse_exposition(client.metrics_text())
             assert snap.total("repro_requests_total") >= 1.0
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.drain_and_shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +555,7 @@ class TestLoadgenMetrics:
         from repro import loadgen
 
         report, outcomes = loadgen.run_profile(
-            "uniform_random", "threaded",
+            "uniform_random",
             [("exact", DistanceOracle(exact_artifact))],
             requests=24, concurrency=4,
         )
